@@ -16,12 +16,12 @@ test:
 # orbit-expanded failure sets must agree) and splice-first prefix-tree
 # enumeration against from-scratch solving (reports must be identical),
 # then a traced run whose JSONL output must end with the metrics
-# snapshot.  The fault-model lines exercise the generalized universe:
-# --crosscheck on the node path also runs the generalized node model and
-# exits 3 on any divergence from the legacy enumeration; the mixed-model
-# run exits 1 (the constructions are not link-GD — that is the honest
-# verdict) but must not exit 3 (crosscheck divergence); --faults checks
-# one explicit mixed node+link set end to end.
+# snapshot.  The fault-model lines run the same verifier over the mixed
+# node+link universe: --crosscheck compares its splice, from-scratch and
+# sharded enumerations; the run exits 1 (the constructions are not
+# link-GD — that is the honest verdict) but must not exit 3 (crosscheck
+# divergence); --faults checks one explicit mixed node+link set end to
+# end.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice

@@ -139,111 +139,25 @@ let solve_cmd =
 
 (* -------------------- verify -------------------- *)
 
-(* Verification over a generalized fault universe
-   (--model mixed|colored|neighbor); the node model keeps the legacy
-   path in [verify_cmd] untouched. *)
-let verify_model inst model ~sample ~domains ~seed ~symmetry ~crosscheck
-    ~no_splice ~merged =
-  let module Auto = Gdpn_graph.Auto in
-  pf "%a@." Instance.pp inst;
-  if merged then
-    pf "note: --merged fault restriction applies to the node model only@.";
-  let d =
-    match domains with Some d -> d | None -> Engine.Parallel.default_domains ()
-  in
-  pf "fault model: %s (universe %d elements, sets of size <= %d)@."
-    (Fault_model.name model) (Fault_model.size model)
-    (Fault_model.max_faults model);
-  let group =
-    if symmetry then begin
-      let g = Instance.symmetry inst in
-      let induced = Fault_model.induced_symmetry model g in
-      pf "symmetry: node group order %d; induced action on the universe \
-          %s@."
-        (Auto.order g)
-        (if Auto.is_trivial induced then "trivial — plain enumeration"
-         else "nontrivial — orbit reduction");
-      Some g
-    end
-    else None
-  in
-  let report =
-    match sample with
-    | Some trials ->
-      if symmetry then pf "note: --symmetry applies to exhaustive mode only@.";
-      pf "sampled verification: seed=%d domains=%d@." seed d;
-      Engine.Parallel.verify_sampled_model ~seed ~trials ~domains:d model
-    | None ->
-      pf "exhaustive verification: domains=%d@." d;
-      Engine.Parallel.verify_exhaustive_model ~domains:d ?symmetry:group
-        ~splice:(not no_splice) model
-  in
-  (* Verify.pp_report renders fault sets as raw node ids; under a model the
-     indices are universe elements, so render them in element syntax. *)
-  pf "checked %d fault sets%s: %s@." report.Verify.fault_sets_checked
-    (if report.Verify.solver_calls < report.Verify.fault_sets_checked then
-       Printf.sprintf " (%d orbit representatives solved)"
-         report.Verify.solver_calls
-     else "")
-    (if Verify.is_k_gd report then "all tolerated"
-     else
-       Printf.sprintf "%d failures%s%s"
-         (List.length report.Verify.failures)
-         (match report.Verify.failures with
-         | f :: _ ->
-           Printf.sprintf " (first: %s%s — %s)"
-             (Fault_model.describe model f.Verify.faults)
-             (if f.Verify.orbit > 1 then
-                Printf.sprintf " ×%d orbit" f.Verify.orbit
-              else "")
-             f.Verify.reason
-         | [] -> "")
-         (if report.Verify.gave_up > 0 then
-            Printf.sprintf " (%d gave up)" report.Verify.gave_up
-          else ""));
+(* The report lines every verification topology prints: the summary
+   line (fault sets in the model's element syntax), the orbit-reduction
+   line, and for fault models beyond nodes the retained
+   counterexamples. *)
+let print_report model report =
+  pf "%a@." (Verify.pp_report_in model) report;
   if report.Verify.solver_calls < report.Verify.fault_sets_checked then
     pf "orbit reduction: %d solver calls covered %d fault sets (%.1fx \
         fewer)@."
       report.Verify.solver_calls report.Verify.fault_sets_checked
       (float_of_int report.Verify.fault_sets_checked
       /. float_of_int (max 1 report.Verify.solver_calls));
-  List.iteri
-    (fun i f ->
-      if i < 5 then
+  if not (Fault_model.is_node model) then
+    List.iter
+      (fun f ->
         pf "counterexample: %s — %s@."
           (Fault_model.describe model f.Verify.faults)
           f.Verify.reason)
-    report.Verify.failures;
-  (* All generalized enumeration paths must agree with each other: splice
-     vs from-scratch sequentially, and the work-stealing shards vs both. *)
-  let crosscheck_failed =
-    if crosscheck && sample = None then begin
-      let cap = 1_000_000 in
-      let spliced =
-        Verify.exhaustive_model ~max_failures:cap ?symmetry:group
-          ~splice:true model
-      in
-      let scratch =
-        Verify.exhaustive_model ~max_failures:cap ?symmetry:group
-          ~splice:false model
-      in
-      let par =
-        Engine.Parallel.verify_exhaustive_model ~max_failures:cap ~domains:d
-          ?symmetry:group ~splice:(not no_splice) model
-      in
-      let agree = spliced = scratch && spliced = par in
-      pf "crosscheck model splice vs from-scratch vs parallel: %s (%d \
-          sets)@."
-        (if agree then "PASS" else "FAIL")
-        spliced.Verify.fault_sets_checked;
-      not agree
-    end
-    else begin
-      if crosscheck then pf "note: --crosscheck requires exhaustive mode@.";
-      false
-    end
-  in
-  if crosscheck_failed then 3 else if Verify.is_k_gd report then 0 else 1
+      report.Verify.failures
 
 (* Out-of-core verification: --procs / --checkpoint / --resume route the
    run through the first-class task decomposition
@@ -253,91 +167,56 @@ let verify_model inst model ~sample ~domains ~seed ~symmetry ~crosscheck
    reports are byte-identical to the sequential one — the deterministic
    rank merge is the same in every topology — which --crosscheck verifies
    directly (exit 3 on divergence). *)
-let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
-    ~resume_path ~symmetry ~crosscheck ~no_splice ~sample ~merged =
-  let module Auto = Gdpn_graph.Auto in
+let verify_out_of_core inst model ~model_name ~n ~k ~domains ~procs
+    ~ckpt_path ~resume_path ~group ~no_splice ~max_failures =
   let module Task = Engine.Parallel.Task in
   let module Checkpoint = Gdpn_engine.Checkpoint in
   let module Mp = Gdpn_engine.Mp in
-  if sample <> None then begin
-    pf "error: --procs/--checkpoint/--resume require exhaustive mode@.";
-    2
-  end
-  else if merged then begin
-    pf "error: --merged restricts the fault universe to the sequential \
-        path; it cannot be checkpointed or farmed over processes@.";
-    2
-  end
-  else if ckpt_path <> None && resume_path <> None then begin
-    pf "error: --resume already appends to its own file; give one of \
-        --checkpoint/--resume@.";
-    2
-  end
-  else begin
-    let max_failures = 5 in
-    let is_node = Fault_model.is_node model in
-    pf "%a@." Instance.pp inst;
-    if not is_node then
-      pf "fault model: %s (universe %d elements, sets of size <= %d)@."
-        (Fault_model.name model) (Fault_model.size model)
-        (Fault_model.max_faults model);
-    let group =
-      if symmetry then begin
-        let g = Instance.symmetry inst in
-        pf "symmetry: group order %d — orbit-reduced units in DFS preorder \
-            (orbit x splice fusion)@."
-          (Auto.order g);
-        Some g
-      end
-      else None
-    in
-    let task =
-      if is_node then
-        Task.exhaustive ?symmetry:group ~splice:(not no_splice) inst
-      else Task.exhaustive_model ?symmetry:group ~splice:(not no_splice) model
-    in
-    let header = Task.header task ~max_failures in
-    let nunits = Task.nunits task in
-    let resume_state =
-      match resume_path with
-      | None -> Ok None
-      | Some path -> (
-        match Checkpoint.load ~path with
+  let task =
+    Task.exhaustive ?symmetry:group ~splice:(not no_splice) ~model inst
+  in
+  let header = Task.header task ~max_failures in
+  let nunits = Task.nunits task in
+  let resume_state =
+    match resume_path with
+    | None -> Ok None
+    | Some path -> (
+      match Checkpoint.load ~path with
+      | Error e -> Error e
+      | Ok l -> (
+        match
+          Checkpoint.check_header ~expected:header l.Checkpoint.l_header
+        with
         | Error e -> Error e
-        | Ok l -> (
-          match
-            Checkpoint.check_header ~expected:header l.Checkpoint.l_header
-          with
-          | Error e -> Error e
-          | Ok () -> Ok (Some l)))
-    in
-    match resume_state with
-    | Error e ->
-      pf "error: cannot resume: %s@." e;
-      2
-    | Ok loaded ->
-      let resumed = Option.map (fun l -> l.Checkpoint.l_results) loaded in
-      Option.iter
-        (fun l ->
-          pf "resume: %d/%d units already recorded%s%s@."
-            (Hashtbl.length l.Checkpoint.l_results)
-            nunits
-            (if l.Checkpoint.l_duplicates > 0 then
-               Printf.sprintf ", %d duplicate records dropped"
-                 l.Checkpoint.l_duplicates
-             else "")
-            (if l.Checkpoint.l_torn_bytes > 0 then
-               Printf.sprintf ", %d torn trailing bytes discarded"
-                 l.Checkpoint.l_torn_bytes
-             else ""))
-        loaded;
-      let writer =
-        match (ckpt_path, resume_path) with
-        | Some path, _ -> Some (Checkpoint.create ~path header)
-        | None, Some path -> Some (Checkpoint.open_append ~path)
-        | None, None -> None
-      in
-      let run_report () =
+        | Ok () -> Ok (Some l)))
+  in
+  match resume_state with
+  | Error e -> Error ("cannot resume: " ^ e)
+  | Ok loaded -> (
+    let resumed = Option.map (fun l -> l.Checkpoint.l_results) loaded in
+    Option.iter
+      (fun l ->
+        pf "resume: %d/%d units already recorded%s%s@."
+          (Hashtbl.length l.Checkpoint.l_results)
+          nunits
+          (if l.Checkpoint.l_duplicates > 0 then
+             Printf.sprintf ", %d duplicate records dropped"
+               l.Checkpoint.l_duplicates
+           else "")
+          (if l.Checkpoint.l_torn_bytes > 0 then
+             Printf.sprintf ", %d torn trailing bytes discarded"
+               l.Checkpoint.l_torn_bytes
+           else ""))
+      loaded;
+    match
+      match (ckpt_path, resume_path) with
+      | Some path, _ -> Some (Checkpoint.create ~path header)
+      | None, Some path -> Some (Checkpoint.open_append ~path)
+      | None, None -> None
+    with
+    | exception Sys_error e -> Error ("cannot open checkpoint: " ^ e)
+    | writer -> (
+      let run () =
         Fun.protect
           ~finally:(fun () -> Option.iter Checkpoint.close writer)
         @@ fun () ->
@@ -349,72 +228,135 @@ let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
                  "-k"; string_of_int k; "--model"; model_name;
                  "--max-failures"; string_of_int max_failures;
                ]
-              @ (if symmetry then [ "--symmetry" ] else [])
+              @ (if group <> None then [ "--symmetry" ] else [])
               @ if no_splice then [ "--no-splice" ] else [])
           in
           pf "multi-process verification: procs=%d units=%d@." procs nunits;
           Mp.run ~max_failures ~procs ~argv ?checkpoint:writer ?resumed task
         end
         else begin
-          let d =
-            match domains with
-            | Some d -> d
-            | None -> Engine.Parallel.default_domains ()
-          in
-          pf "checkpointed verification: domains=%d units=%d@." d nunits;
-          Engine.Parallel.run_task ~max_failures ~domains:d ?checkpoint:writer
+          pf "checkpointed verification: domains=%d units=%d@." domains
+            nunits;
+          Engine.Parallel.run_task ~max_failures ~domains ?checkpoint:writer
             ?resumed task
         end
       in
-      (match run_report () with
+      match run () with
       | exception Mp.Worker_died pid ->
-        pf "error: worker process %d died with a unit still assigned@." pid;
-        2
+        Error
+          (Printf.sprintf "worker process %d died with a unit still assigned"
+             pid)
       | report ->
-        (match ckpt_path with
-        | Some p -> pf "checkpoint: %s@." p
-        | None -> ());
-        (if is_node then pf "%a@." Verify.pp_report report
-         else
-           pf "checked %d fault sets: %s@." report.Verify.fault_sets_checked
-             (if Verify.is_k_gd report then "all tolerated"
-              else
-                Printf.sprintf "%d failures (first: %s — %s)"
-                  (List.length report.Verify.failures)
-                  (match report.Verify.failures with
-                  | f :: _ -> Fault_model.describe model f.Verify.faults
-                  | [] -> "?")
-                  (match report.Verify.failures with
-                  | f :: _ -> f.Verify.reason
-                  | [] -> "")));
-        if report.Verify.solver_calls < report.Verify.fault_sets_checked then
-          pf "orbit reduction: %d solver calls covered %d fault sets \
-              (%.1fx fewer)@."
-            report.Verify.solver_calls report.Verify.fault_sets_checked
-            (float_of_int report.Verify.fault_sets_checked
-            /. float_of_int (max 1 report.Verify.solver_calls));
-        let crosscheck_failed =
-          if crosscheck then begin
-            let seq =
-              if is_node then
-                Verify.exhaustive ~max_failures ?symmetry:group
-                  ~splice:(not no_splice) inst
-              else
-                Verify.exhaustive_model ~max_failures ?symmetry:group
-                  ~splice:(not no_splice) model
-            in
-            let agree = report = seq in
-            pf "crosscheck out-of-core vs sequential: %s (%d sets, %d \
-                solver calls)@."
-              (if agree then "PASS" else "FAIL")
-              seq.Verify.fault_sets_checked seq.Verify.solver_calls;
-            not agree
-          end
-          else false
+        Option.iter (pf "checkpoint: %s@.") ckpt_path;
+        Ok report))
+
+(* --crosscheck: re-run the enumeration along independent paths and
+   compare; the caller exits 3 on any disagreement.  The full-enumeration
+   and kernel-vs-reference checks enumerate without orbit reduction, so
+   they run for the node model only — over a link universe they would
+   cost far more than the verification being checked. *)
+let verify_crosschecks inst model ~universe ~group ~no_splice ~domains
+    ~out_of_core ~report ~max_failures =
+  let cap = 1_000_000 in
+  let delta name f =
+    let c = Metrics.counter name in
+    let before = Metrics.value c in
+    let r = f () in
+    (r, Metrics.value c - before)
+  in
+  let verdict agree = if agree then "PASS" else "FAIL" in
+  if out_of_core then begin
+    let seq =
+      Verify.exhaustive ~max_failures ?symmetry:group ~splice:(not no_splice)
+        ~model inst
+    in
+    let agree = report = seq in
+    pf "crosscheck out-of-core vs sequential: %s (%d sets, %d solver \
+        calls)@."
+      (verdict agree) seq.Verify.fault_sets_checked seq.Verify.solver_calls;
+    not agree
+  end
+  else begin
+    let is_node = Fault_model.is_node model in
+    (* Orbit reduction must reproduce the full enumeration's verdict,
+       count and (orbit-expanded) failure sets. *)
+    let orbit_failed =
+      match group with
+      | Some g when is_node ->
+        let full = Verify.exhaustive ~max_failures:cap ?universe inst in
+        let orb =
+          Verify.exhaustive ~max_failures:cap ?universe ~symmetry:g inst
         in
-        if crosscheck_failed then 3
-        else if Verify.is_k_gd report then 0
-        else 1)
+        let full_sets =
+          List.sort compare
+            (List.map
+               (fun f -> List.sort compare f.Verify.faults)
+               full.Verify.failures)
+        in
+        let agree =
+          Verify.is_k_gd full = Verify.is_k_gd orb
+          && full.Verify.fault_sets_checked = orb.Verify.fault_sets_checked
+          && full_sets = Verify.expanded_failure_sets ~symmetry:g orb
+        in
+        pf "crosscheck vs full enumeration: %s (full %d sets / orbit %d \
+            solver calls)@."
+          (verdict agree) full.Verify.solver_calls orb.Verify.solver_calls;
+        not agree
+      | _ -> false
+    in
+    (* The prefix-tree splice-first enumeration must report exactly what
+       from-scratch solving reports (positives are revalidated splices,
+       negatives always come from a full solve), and so must the
+       work-stealing shards. *)
+    let splice_failed =
+      let spliced, n_splices =
+        delta "verify.splices" (fun () ->
+            Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
+              ~splice:true ~model inst)
+      in
+      let scratch =
+        Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
+          ~splice:false ~model inst
+      in
+      let par =
+        (* The restricted (merged) universe has no sharded path. *)
+        if universe <> None then spliced
+        else
+          Engine.Parallel.verify_exhaustive ~max_failures:cap ~domains
+            ?symmetry:group ~splice:(not no_splice) ~model inst
+      in
+      let agree = spliced = scratch && spliced = par in
+      pf "crosscheck splice vs from-scratch vs parallel: %s (%d sets, %d \
+          spliced)@."
+        (verdict agree) spliced.Verify.fault_sets_checked n_splices;
+      not agree
+    in
+    (* The word-parallel kernel and the retained reference backtracker
+       must produce identical reports from identical expansion counts.
+       Splice is off on both sides so every set exercises the solvers. *)
+    let kernel_failed =
+      is_node
+      && begin
+        let kernel, ek =
+          delta "hamilton.expansions" (fun () ->
+              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
+                inst)
+        in
+        let reference, er =
+          delta "hamilton.ref_expansions" (fun () ->
+              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
+                ~solve:(fun ~faults ->
+                  Reconfig.solve ~reference:true inst ~faults)
+                inst)
+        in
+        let agree = kernel = reference && ek = er in
+        pf "crosscheck kernel vs reference: %s (%d solver calls, \
+            expansions %d vs %d)@."
+          (verdict agree) kernel.Verify.solver_calls ek er;
+        not agree
+      end
+    in
+    orbit_failed || splice_failed || kernel_failed
   end
 
 let verify_cmd =
@@ -437,13 +379,16 @@ let verify_cmd =
   let crosscheck_arg =
     Arg.(value & flag & info [ "crosscheck" ]
            ~doc:"Exhaustive mode: re-run the enumeration with splice-first \
-                 prefix-tree solving disabled and compare the reports, \
-                 then re-run through the reference (pre-bitset-row) \
+                 prefix-tree solving on and off and over the domain \
+                 shards, and compare the reports.  For the node model, \
+                 also re-run through the reference (pre-bitset-row) \
                  backtracker and compare reports and expansion counts \
-                 against the word-parallel kernel.  With --symmetry, \
-                 additionally run the full enumeration and compare \
-                 verdicts, counts and (orbit-expanded) failure sets.  \
-                 Exits 3 on any disagreement.")
+                 against the word-parallel kernel, and with --symmetry run \
+                 the full enumeration and compare verdicts, counts and \
+                 (orbit-expanded) failure sets.  With \
+                 --procs/--checkpoint/--resume, compare the out-of-core \
+                 report with the sequential one.  Exits 3 on any \
+                 disagreement.")
   in
   let no_splice_arg =
     Arg.(value & flag & info [ "no-splice" ]
@@ -546,190 +491,118 @@ let verify_cmd =
     with_trace trace_out @@ fun () ->
     let module Auto = Gdpn_graph.Auto in
     let inst = build_instance n k merged in
+    let out_of_core = procs > 1 || ckpt_path <> None || resume_path <> None in
+    let usage_error =
+      if not out_of_core then None
+      else if sample <> None then
+        Some "--procs/--checkpoint/--resume require exhaustive mode"
+      else if merged then
+        Some
+          "--merged restricts the fault universe to the sequential path; it \
+           cannot be checkpointed or farmed over processes"
+      else if ckpt_path <> None && resume_path <> None then
+        Some
+          "--resume already appends to its own file; give one of \
+           --checkpoint/--resume"
+      else None
+    in
     match model_of_name inst model_name with
     | Error e ->
       pf "error: %s@." e;
       2
     | Ok model when fault_spec <> None ->
       check_fault_spec inst model (Option.get fault_spec)
-    | Ok model when procs > 1 || ckpt_path <> None || resume_path <> None ->
-      verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
-        ~resume_path ~symmetry ~crosscheck ~no_splice ~sample ~merged
-    | Ok model when not (Fault_model.is_node model) ->
-      verify_model inst model ~sample ~domains ~seed ~symmetry ~crosscheck
-        ~no_splice ~merged
-    | Ok model ->
-    pf "%a@." Instance.pp inst;
-    let d =
-      match domains with Some d -> d | None -> Engine.Parallel.default_domains ()
-    in
-    (* The merged transform restricts faults to processors; terminals are
-       fault-free in that model. *)
-    let universe = if merged then Some (Instance.processors inst) else None in
-    let group =
-      if symmetry then begin
-        let g = Instance.symmetry inst in
-        pf "symmetry: group order %d, %d generators%s@." (Auto.order g)
-          (List.length (Auto.generators g))
-          (if Auto.is_trivial g then
-             " — trivial group, using plain enumeration"
-           else "");
-        Some g
-      end
-      else None
-    in
-    let report =
-      match sample with
-      | Some trials ->
-        if symmetry then
-          pf "note: --symmetry applies to exhaustive mode only@.";
-        pf "sampled verification: seed=%d domains=%d@." seed d;
-        Engine.Parallel.verify_sampled ~seed ~trials ~domains:d inst
-      | None when merged ->
-        (* The sharded enumerator covers all nodes, so the restricted
-           universe keeps the sequential path here. *)
-        Verify.exhaustive ?universe ?symmetry:group ~splice:(not no_splice)
-          inst
-      | None ->
-        pf "exhaustive verification: domains=%d@." d;
-        Engine.Parallel.verify_exhaustive ~domains:d ?symmetry:group
-          ~splice:(not no_splice) inst
-    in
-    pf "%a@." Verify.pp_report report;
-    if report.Verify.solver_calls < report.Verify.fault_sets_checked then
-      pf "orbit reduction: %d solver calls covered %d fault sets (%.1fx \
-          fewer)@."
-        report.Verify.solver_calls report.Verify.fault_sets_checked
-        (float_of_int report.Verify.fault_sets_checked
-        /. float_of_int (max 1 report.Verify.solver_calls));
-    let crosscheck_failed =
-      match group with
-      | Some g when crosscheck && sample = None ->
-        let cap = 1_000_000 in
-        let full = Verify.exhaustive ~max_failures:cap ?universe inst in
-        let orb =
-          Verify.exhaustive ~max_failures:cap ?universe ~symmetry:g inst
-        in
-        let full_sets =
-          List.sort compare
-            (List.map
-               (fun f -> List.sort compare f.Verify.faults)
-               full.Verify.failures)
-        in
-        let orb_sets = Verify.expanded_failure_sets ~symmetry:g orb in
-        let agree =
-          Verify.is_k_gd full = Verify.is_k_gd orb
-          && full.Verify.fault_sets_checked = orb.Verify.fault_sets_checked
-          && full_sets = orb_sets
-        in
-        pf "crosscheck vs full enumeration: %s (full %d sets / orbit %d \
-            solver calls)@."
-          (if agree then "PASS" else "FAIL")
-          full.Verify.solver_calls orb.Verify.solver_calls;
-        not agree
-      | _ -> false
-    in
-    (* Splice crosscheck: the prefix-tree splice-first enumeration must
-       report exactly what from-scratch solving reports — positives are
-       revalidated splices, negatives always come from a full solve. *)
-    let splice_crosscheck_failed =
-      if crosscheck && sample = None then begin
-        let module Metrics = Gdpn_obs.Metrics in
-        let splices = Metrics.counter "verify.splices" in
-        let before = Metrics.value splices in
-        let cap = 1_000_000 in
-        let spliced =
-          Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
-            ~splice:true inst
-        in
-        let n_splices = Metrics.value splices - before in
-        let scratch =
-          Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
-            ~splice:false inst
-        in
-        let agree = spliced = scratch in
-        pf "crosscheck splice vs from-scratch: %s (%d sets, %d spliced)@."
-          (if agree then "PASS" else "FAIL")
-          spliced.Verify.fault_sets_checked n_splices;
-        not agree
-      end
-      else false
-    in
-    (* Kernel-equivalence crosscheck: independent of --symmetry, the
-       word-parallel kernel and the retained reference backtracker must
-       produce identical reports from identical expansion counts.  Splice
-       is off on both sides so every set exercises the solvers. *)
-    let kernel_crosscheck_failed =
-      if crosscheck && sample = None then begin
-        let module Metrics = Gdpn_obs.Metrics in
-        let delta name f =
-          let c = Metrics.counter name in
-          let before = Metrics.value c in
-          let r = f () in
-          (r, Metrics.value c - before)
-        in
-        let cap = 1_000_000 in
-        let kernel, ek =
-          delta "hamilton.expansions" (fun () ->
-              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
-                inst)
-        in
-        let reference, er =
-          delta "hamilton.ref_expansions" (fun () ->
-              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
-                ~solve:(fun ~faults ->
-                  Reconfig.solve ~reference:true inst ~faults)
-                inst)
-        in
-        let agree = kernel = reference && ek = er in
-        pf "crosscheck kernel vs reference: %s (%d solver calls, \
-            expansions %d vs %d)@."
-          (if agree then "PASS" else "FAIL")
-          kernel.Verify.solver_calls ek er;
-        not agree
-      end
-      else begin
-        if crosscheck then pf "note: --crosscheck requires exhaustive mode@.";
-        false
-      end
-    in
-    (* Generalized-model crosscheck: the node instantiation of the
-       Fault_model machinery must reproduce the legacy node-only verifier
-       byte for byte, sequentially and under the work-stealing shards. *)
-    let model_crosscheck_failed =
-      if crosscheck && sample = None then begin
-        let cap = 1_000_000 in
-        let legacy =
-          Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
-            ~splice:(not no_splice) inst
-        in
-        let gen =
-          Verify.exhaustive_model ~max_failures:cap ?universe ?symmetry:group
-            ~splice:(not no_splice) model
-        in
-        let gen_par =
-          (* The restricted (merged) universe keeps the sequential path,
-             as in the main enumeration above. *)
-          if merged then gen
+    | Ok _ when usage_error <> None ->
+      pf "error: %s@." (Option.get usage_error);
+      2
+    | Ok model -> (
+      let is_node = Fault_model.is_node model in
+      pf "%a@." Instance.pp inst;
+      if not is_node then begin
+        if merged then
+          pf "note: --merged fault restriction applies to the node model \
+              only@.";
+        pf "fault model: %s (universe %d elements, sets of size <= %d)@."
+          (Fault_model.name model) (Fault_model.size model)
+          (Fault_model.max_faults model)
+      end;
+      let d =
+        match domains with
+        | Some d -> d
+        | None -> Engine.Parallel.default_domains ()
+      in
+      (* The merged transform restricts node faults to processors;
+         terminals are fault-free in that model. *)
+      let universe =
+        if merged && is_node then Some (Instance.processors inst) else None
+      in
+      let group =
+        if symmetry then begin
+          let g = Instance.symmetry inst in
+          if out_of_core then
+            pf "symmetry: group order %d — orbit-reduced units in DFS \
+                preorder (orbit x splice fusion)@."
+              (Auto.order g)
+          else if is_node then
+            pf "symmetry: group order %d, %d generators%s@." (Auto.order g)
+              (List.length (Auto.generators g))
+              (if Auto.is_trivial g then
+                 " — trivial group, using plain enumeration"
+               else "")
           else
-            Engine.Parallel.verify_exhaustive_model ~max_failures:cap
-              ~domains:d ?symmetry:group ~splice:(not no_splice) model
+            pf "symmetry: node group order %d; induced action on the \
+                universe %s@."
+              (Auto.order g)
+              (if Auto.is_trivial (Fault_model.induced_symmetry model g) then
+                 "trivial — plain enumeration"
+               else "nontrivial — orbit reduction");
+          Some g
+        end
+        else None
+      in
+      let max_failures = 5 in
+      let splice = not no_splice in
+      let report =
+        match sample with
+        | Some trials ->
+          if symmetry then
+            pf "note: --symmetry applies to exhaustive mode only@.";
+          pf "sampled verification: seed=%d domains=%d@." seed d;
+          Ok
+            (Engine.Parallel.verify_sampled ~seed ~trials ~domains:d ~model
+               inst)
+        | None when out_of_core ->
+          verify_out_of_core inst model ~model_name ~n ~k ~domains:d ~procs
+            ~ckpt_path ~resume_path ~group ~no_splice ~max_failures
+        | None when universe <> None ->
+          (* The sharded enumerator covers the whole universe, so the
+             restricted one keeps the sequential path. *)
+          Ok (Verify.exhaustive ?universe ?symmetry:group ~splice ~model inst)
+        | None ->
+          pf "exhaustive verification: domains=%d@." d;
+          Ok
+            (Engine.Parallel.verify_exhaustive ~domains:d ?symmetry:group
+               ~splice ~model inst)
+      in
+      match report with
+      | Error e ->
+        pf "error: %s@." e;
+        2
+      | Ok report ->
+        print_report model report;
+        let crosscheck_failed =
+          if not crosscheck then false
+          else if sample <> None then begin
+            pf "note: --crosscheck requires exhaustive mode@.";
+            false
+          end
+          else
+            verify_crosschecks inst model ~universe ~group ~no_splice
+              ~domains:d ~out_of_core ~report ~max_failures
         in
-        let agree = legacy = gen && legacy = gen_par in
-        pf "crosscheck generalized-node vs legacy: %s (%d sets, %d solver \
-            calls)@."
-          (if agree then "PASS" else "FAIL")
-          legacy.Verify.fault_sets_checked legacy.Verify.solver_calls;
-        not agree
-      end
-      else false
-    in
-    if
-      crosscheck_failed || splice_crosscheck_failed
-      || kernel_crosscheck_failed || model_crosscheck_failed
-    then 3
-    else if Verify.is_k_gd report then 0
-    else 1
+        if crosscheck_failed then 3
+        else if Verify.is_k_gd report then 0
+        else 1)
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify k-graceful-degradability.")
@@ -767,12 +640,8 @@ let verify_worker_cmd =
     | Ok model ->
       let group = if symmetry then Some (Instance.symmetry inst) else None in
       let task =
-        if Fault_model.is_node model then
-          Engine.Parallel.Task.exhaustive ?symmetry:group
-            ~splice:(not no_splice) inst
-        else
-          Engine.Parallel.Task.exhaustive_model ?symmetry:group
-            ~splice:(not no_splice) model
+        Engine.Parallel.Task.exhaustive ?symmetry:group
+          ~splice:(not no_splice) ~model inst
       in
       Gdpn_engine.Mp.worker_main ~max_failures task;
       0

@@ -53,6 +53,14 @@ let neighbor inst =
   let order = Instance.order inst in
   make inst Kneighbor (Array.init order (fun v -> Neighborhood v))
 
+let resolve model inst =
+  match model with
+  | None -> node inst
+  | Some m ->
+    if m.inst != inst then
+      invalid_arg "Fault_model.resolve: model built over a different instance";
+    m
+
 let of_name inst = function
   | "node" -> Some (node inst)
   | "mixed" -> Some (mixed inst)

@@ -14,9 +14,9 @@
     nodes and a set of dead links.  The instance {e gracefully tolerates}
     the set when the link-degraded instance (dead links removed) admits a
     pipeline through every healthy processor.  For the node model this is
-    exactly the paper's definition, and every entry point short-circuits to
-    the legacy code path — reports, outcomes and witnesses are
-    byte-identical to the node-only stack.
+    exactly the paper's definition: the degraded instance is the instance
+    itself and the dead-node mask is the fault mask, so {!solve} and
+    {!splice} go straight to {!Reconfig.solve} and {!Repair.patch}.
 
     Link-degraded instances are cached per dead-link set (the hot loops —
     exhaustive verification, orbit enumeration, the Hayes fallback — keep
@@ -41,9 +41,8 @@ type t
     degraded-instance cache. *)
 
 val node : Instance.t -> t
-(** The legacy model: universe element [i] is [Node i]; a fault mask is a
-    node mask.  All solve/validate/splice calls short-circuit to the plain
-    node-fault code path. *)
+(** The paper's model and the default of every verifier entry point:
+    universe element [i] is [Node i]; a fault mask is a node mask. *)
 
 val mixed : Instance.t -> t
 (** Nodes then links: element [i < order] is [Node i]; element
@@ -55,6 +54,12 @@ val colored : Instance.t -> t
 
 val neighbor : Instance.t -> t
 (** One closed neighborhood per node: element [v] is [Neighborhood v]. *)
+
+val resolve : t option -> Instance.t -> t
+(** [resolve model inst] is [model] when given — raising
+    [Invalid_argument] if it was built over a different instance — and
+    [node inst] otherwise: the default behind every [?model] argument of
+    the verifier and the engine. *)
 
 val of_name : Instance.t -> string -> t option
 (** ["node"], ["mixed"], ["colored"], ["neighbor"]. *)

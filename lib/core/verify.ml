@@ -13,11 +13,12 @@ let m_orbits_checked = Metrics.counter "verify.orbits_checked"
 let m_calls_saved = Metrics.counter "verify.solver_calls_saved"
 
 (* Splice accounting for the prefix-tree paths: a reported check answered
-   by [Repair.patch] from its parent's plan counts as a splice; a failed
-   patch that fell back to the full solver counts as a splice failure.
-   Scaffold solves are full solves made only to (re)build a branch prefix
-   that some other check reports — they are bookkeeping, not verification
-   work, so they get their own cell and never touch [solver_calls]. *)
+   by the model's local repair of its parent's plan counts as a splice; a
+   failed repair that fell back to the full solver counts as a splice
+   failure.  Scaffold solves are full solves made only to (re)build a
+   branch prefix that some other check reports — they are bookkeeping,
+   not verification work, so they get their own cell and never touch
+   [solver_calls]. *)
 let m_splices = Metrics.counter "verify.splices"
 let m_splice_failures = Metrics.counter "verify.splice_failures"
 let m_scaffold_solves = Metrics.counter "verify.scaffold_solves"
@@ -31,53 +32,55 @@ type report = {
   gave_up : int;
 }
 
-(* Full solve + revalidation, keeping the witness so callers can reuse it
-   as a splice parent.  No metric here: the prefix-tree paths reconstruct
-   [solver_calls] during the merge (pruned subtrees are counted without
-   being visited), so the counter is settled by the caller. *)
-let solve_checked ?budget ?solve inst mask =
+(* Full solve + revalidation against the model's degraded instance,
+   keeping the witness so callers can reuse it as a splice parent.  No
+   metric here: the prefix-tree paths reconstruct [solver_calls] during
+   the merge (pruned subtrees are counted without being visited), so the
+   counter is settled by the caller. *)
+let solve_checked ?budget ?solve model mask =
   let outcome =
     match solve with
     | Some f -> f ~faults:mask
-    | None -> Reconfig.solve ?budget inst ~faults:mask
+    | None -> Fault_model.solve ?budget model ~faults:mask
   in
   match outcome with
   | Reconfig.Pipeline p -> (
     (* The solver already validates, but re-check here so the verifier
        does not trust it (nor any [solve] override). *)
-    match Pipeline.validate inst ~faults:mask p.Pipeline.nodes with
+    match Fault_model.validate model ~faults:mask p.Pipeline.nodes with
     | Ok _ -> Ok p
     | Error e -> Error ("invalid witness: " ^ e))
   | Reconfig.No_pipeline -> Error "no pipeline"
   | Reconfig.Gave_up -> Error "solver gave up"
 
-let check_mask ?budget ?solve inst mask =
+let check_mask ?budget ?solve model mask =
   Metrics.incr m_solver_calls;
-  Result.map ignore (solve_checked ?budget ?solve inst mask)
+  Result.map ignore (solve_checked ?budget ?solve model mask)
 
-(* Splice-first check of [mask] = parent's faults ∪ {failed}: patch the
-   parent's pipeline around [failed] first ([Repair.patch] revalidates,
-   so a positive verdict is always genuine), full solve on splice
-   failure.  Negatives always come from a full solve, so failure reasons
-   are exactly {!check_mask}'s.  [reported:false] marks scaffold pushes
-   (prefix rebuilding whose set is reported elsewhere). *)
-let splice_checked ?budget ?solve ?(reported = true) inst ~parent ~mask
+(* Splice-first check of [mask] = parent's faults ∪ {failed}: repair the
+   parent's pipeline around [failed] with the model's local rule first
+   ([Fault_model.splice] revalidates, so a positive verdict is always
+   genuine), full solve on splice failure.  Negatives always come from a
+   full solve, so failure reasons are exactly {!check_mask}'s.
+   [reported:false] marks scaffold pushes (prefix rebuilding whose set is
+   reported elsewhere). *)
+let splice_checked ?budget ?solve ?(reported = true) model ~parent ~mask
     ~failed =
   match parent with
   | Ok current -> (
-    match Repair.patch inst ~current ~faults:mask ~failed with
+    match Fault_model.splice model ~current ~faults:mask ~failed with
     | Some (`Unchanged p | `Spliced p) ->
       if reported then Metrics.incr m_splices;
       Ok p
     | None ->
       if reported then Metrics.incr m_splice_failures
       else Metrics.incr m_scaffold_solves;
-      solve_checked ?budget ?solve inst mask)
+      solve_checked ?budget ?solve model mask)
   | Error _ ->
     (* The parent has no pipeline; tolerance is not monotone, so the
        child must still be solved from scratch. *)
     if not reported then Metrics.incr m_scaffold_solves;
-    solve_checked ?budget ?solve inst mask
+    solve_checked ?budget ?solve model mask
 
 (* A recorded failure tagged with the global rank of its fault set in the
    canonical enumeration order (sizes ascending, lexicographic within a
@@ -155,50 +158,39 @@ let merge_tagged ~max_failures ~counts per_source =
   }
 
 let check_fault_set ?budget inst faults =
-  check_mask ?budget inst (Bitset.of_list (Instance.order inst) faults)
+  check_mask ?budget (Fault_model.node inst)
+    (Bitset.of_list (Instance.order inst) faults)
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration cores                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every exhaustive strategy below is written once, against this record
-   of checking closures over an abstract element universe: the node path
-   instantiates it with {!solve_checked}/{!splice_checked} on the
-   instance (element = node id), the generalized path with the
-   {!Fault_model}-aware twins further down (element = universe index).
-   Sharing one body is what makes "node reports stay byte-identical
-   through the refactor" a structural property rather than a testing
-   aspiration — the model twins short-circuit to the very same solver
-   and patch calls when the model is the node model. *)
-type core = {
-  c_mask : Bitset.t;  (* scratch fault mask over the element id space *)
-  c_full : Bitset.t -> (Pipeline.t, string) result;
-  c_splice :
-    reported:bool ->
-    parent:(Pipeline.t, string) result ->
-    Bitset.t ->
-    int ->
-    (Pipeline.t, string) result;
+(* Every exhaustive strategy below is written once, against a checker
+   over the fault model's universe (element = universe index; for the
+   node model, a node id).  [full] and [spliced] check the set held in
+   the scratch [mask]. *)
+type checker = {
+  model : Fault_model.t;
+  budget : int option;
+  solve : (faults:Bitset.t -> Reconfig.outcome) option;
+  mask : Bitset.t;
 }
 
-let core_check core mask =
+let full c = solve_checked ?budget:c.budget ?solve:c.solve c.model c.mask
+
+let spliced c ~reported ~parent e =
+  splice_checked ?budget:c.budget ?solve:c.solve ~reported c.model ~parent
+    ~mask:c.mask ~failed:e
+
+let core_check c =
   Metrics.incr m_solver_calls;
-  Result.map ignore (core.c_full mask)
+  Result.map ignore (full c)
 
-let node_core ?budget ?solve inst =
-  {
-    c_mask = Bitset.create (Instance.order inst);
-    c_full = (fun mask -> solve_checked ?budget ?solve inst mask);
-    c_splice =
-      (fun ~reported ~parent mask failed ->
-        splice_checked ?budget ?solve ~reported inst ~parent ~mask ~failed);
-  }
-
-let run_checks_core core ~max_failures iter_sets =
+let run_checks core ~max_failures iter_sets =
   let checked = ref 0 in
   let failures = ref [] in
   let gave_up = ref 0 in
-  let mask = core.c_mask in
+  let mask = core.mask in
   let exception Stop in
   (try
      iter_sets (fun (buf : int array) (len : int) ->
@@ -207,7 +199,7 @@ let run_checks_core core ~max_failures iter_sets =
            Bitset.add mask buf.(i)
          done;
          incr checked;
-         (match core_check core mask with
+         (match core_check core with
          | Ok () -> ()
          | Error reason ->
            if reason = "solver gave up" then incr gave_up;
@@ -224,21 +216,18 @@ let run_checks_core core ~max_failures iter_sets =
     gave_up = !gave_up;
   }
 
-let run_checks ?budget ?solve ?(max_failures = 5) inst iter_sets =
-  run_checks_core (node_core ?budget ?solve inst) ~max_failures iter_sets
-
 (* Orbit-reduced exhaustive mode: check one representative per orbit of
    the symmetry group and scale every count by the orbit size.  Sound
    because the group's elements preserve fault-set solvability (label
    automorphisms map pipelines to pipelines; a reversal maps them to
    reversed pipelines, which the definition also admits), so all members
    of an orbit share the representative's outcome. *)
-let orbits_core core ~max_failures reps =
+let orbits core ~max_failures reps =
   let checked = ref 0 in
   let calls = ref 0 in
   let gave_up = ref 0 in
   let failures = ref [] in
-  let mask = core.c_mask in
+  let mask = core.mask in
   let exception Stop in
   (try
      Array.iter
@@ -249,7 +238,7 @@ let orbits_core core ~max_failures reps =
          incr calls;
          Metrics.incr m_orbits_checked;
          Metrics.add m_calls_saved (size - 1);
-         match core_check core mask with
+         match core_check core with
          | Ok () -> ()
          | Error reason ->
            if reason = "solver gave up" then gave_up := !gave_up + size;
@@ -265,13 +254,6 @@ let orbits_core core ~max_failures reps =
     gave_up = !gave_up;
   }
 
-let exhaustive_orbits ?budget ?solve ?(max_failures = 5) ?universe group inst =
-  if Auto.degree group <> Instance.order inst then
-    invalid_arg "Verify.exhaustive: symmetry group degree <> instance order";
-  let universe = Option.map Array.of_list universe in
-  let reps = Auto.fault_orbits ?universe group ~max_size:inst.Instance.k in
-  orbits_core (node_core ?budget ?solve inst) ~max_failures reps
-
 (* Prefix-tree (DFS) exhaustive mode: walk the subset tree maintaining a
    per-branch stack of solved plans, so the child S ∪ {v} is first
    patched from S's pipeline and only solved from scratch when the splice
@@ -280,11 +262,11 @@ let exhaustive_orbits ?budget ?solve ?(max_failures = 5) ?universe group inst =
    member outranks the worst kept failure is pruned (strict descendants
    have strictly larger size, hence strictly larger size-major rank, so
    the sequential early stop would never have reached them). *)
-let dfs_core core ~max_failures ~elts ~k =
+let dfs core ~max_failures ~elts ~k =
   let u = Array.length elts in
   let k = Stdlib.min k u in
   let total = Combinat.count_up_to u k in
-  let mask = core.c_mask in
+  let mask = core.mask in
   let plans = Array.make (k + 1) (Error "unsolved") in
   let kept = Topk.create max_failures in
   let cutoff = ref max_int in
@@ -294,9 +276,9 @@ let dfs_core core ~max_failures ~elts ~k =
       false
     else begin
       let r =
-        if len = 0 then core.c_full mask
+        if len = 0 then full core
         else
-          core.c_splice ~reported:true ~parent:plans.(len - 1) mask
+          spliced core ~reported:true ~parent:plans.(len - 1)
             elts.(buf.(len - 1))
       in
       plans.(len) <- r;
@@ -320,10 +302,6 @@ let dfs_core core ~max_failures ~elts ~k =
   Metrics.add m_solver_calls report.solver_calls;
   report
 
-let exhaustive_dfs ?budget ?solve ?(max_failures = 5) ~nodes inst =
-  dfs_core (node_core ?budget ?solve inst) ~max_failures ~elts:nodes
-    ~k:inst.Instance.k
-
 (* Orbit-reduced mode with splicing: representatives arrive in
    size-ascending min-lex order, so consecutive sets share prefixes.  A
    chain of solved prefixes ([elts]/[res]) is popped to the longest
@@ -331,14 +309,14 @@ let exhaustive_dfs ?budget ?solve ?(max_failures = 5) ~nodes inst =
    ancestor seeds each patch attempt; prefixes that are not themselves
    being reported are scaffold pushes.  Accounting (counts, metrics,
    early stop) is exactly the from-scratch orbit path's. *)
-let orbits_splice_core core ~max_failures ~k reps =
-  let mask = core.c_mask in
+let orbits_splice core ~max_failures ~k reps =
+  let mask = core.mask in
   let elts = Array.make (Stdlib.max 1 k) (-1) in
   let res = Array.make (k + 1) (Error "unsolved") in
   let len = ref (-1) in
   let push ~reported e =
     Bitset.add mask e;
-    let r = core.c_splice ~reported ~parent:res.(!len) mask e in
+    let r = spliced core ~reported ~parent:res.(!len) e in
     elts.(!len) <- e;
     res.(!len + 1) <- r;
     incr len;
@@ -347,7 +325,7 @@ let orbits_splice_core core ~max_failures ~k reps =
   let check_rep set m =
     if m = 0 then begin
       if !len < 0 then begin
-        res.(0) <- core.c_full mask;
+        res.(0) <- full core;
         len := 0
       end;
       res.(0)
@@ -356,7 +334,7 @@ let orbits_splice_core core ~max_failures ~k reps =
       if !len < 0 then begin
         (* Lazy root: the empty set solved once as scaffold. *)
         Metrics.incr m_scaffold_solves;
-        res.(0) <- core.c_full mask;
+        res.(0) <- full core;
         len := 0
       end;
       let lcp = ref 0 in
@@ -402,51 +380,40 @@ let orbits_splice_core core ~max_failures ~k reps =
     gave_up = !gave_up;
   }
 
-let exhaustive_orbits_splice ?budget ?solve ?(max_failures = 5) ?universe
-    group inst =
-  if Auto.degree group <> Instance.order inst then
-    invalid_arg "Verify.exhaustive: symmetry group degree <> instance order";
-  let universe = Option.map Array.of_list universe in
-  let reps = Auto.fault_orbits ?universe group ~max_size:inst.Instance.k in
-  orbits_splice_core
-    (node_core ?budget ?solve inst)
-    ~max_failures ~k:inst.Instance.k reps
-
-let exhaustive ?budget ?solve ?max_failures ?universe ?symmetry
-    ?(splice = true) inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
+let exhaustive ?budget ?solve ?(max_failures = 5) ?universe ?symmetry
+    ?(splice = true) ?model inst =
+  let model = Fault_model.resolve model inst in
+  let usize = Fault_model.size model in
+  let k = Fault_model.max_faults model in
+  let core = { model; budget; solve; mask = Bitset.create usize } in
   (match symmetry with
-  | Some group when Auto.degree group <> order ->
+  | Some group when Auto.degree group <> Instance.order inst ->
     invalid_arg "Verify.exhaustive: symmetry group degree <> instance order"
   | Some _ | None -> ());
-  match symmetry with
+  (* The caller hands the instance's node group; its action on the
+     model's universe is what the orbit machinery needs. *)
+  match Option.map (Fault_model.induced_symmetry model) symmetry with
   | Some group when not (Auto.is_trivial group) ->
-    if splice then
-      exhaustive_orbits_splice ?budget ?solve ?max_failures ?universe group
-        inst
-    else exhaustive_orbits ?budget ?solve ?max_failures ?universe group inst
-  | Some _ | None when splice ->
-    let nodes =
+    let universe = Option.map Array.of_list universe in
+    let reps = Auto.fault_orbits ?universe group ~max_size:k in
+    if splice then orbits_splice core ~max_failures ~k reps
+    else orbits core ~max_failures reps
+  | Some _ | None ->
+    let elts =
       match universe with
-      | None -> Array.init order Fun.id
-      | Some nodes -> Array.of_list nodes
+      | None -> Array.init usize Fun.id
+      | Some l -> Array.of_list l
     in
-    exhaustive_dfs ?budget ?solve ?max_failures ~nodes inst
-  | Some _ | None -> (
-    match universe with
-    | None ->
-      run_checks ?budget ?solve ?max_failures inst (fun f ->
-          Combinat.iter_subsets_up_to order k (fun buf len -> f buf len))
-    | Some nodes ->
-      let nodes = Array.of_list nodes in
-      let translated = Array.make (Array.length nodes) 0 in
-      run_checks ?budget ?solve ?max_failures inst (fun f ->
-          Combinat.iter_subsets_up_to (Array.length nodes) k (fun buf len ->
+    if splice then dfs core ~max_failures ~elts ~k
+    else begin
+      let translated = Array.make (Array.length elts) 0 in
+      run_checks core ~max_failures (fun f ->
+          Combinat.iter_subsets_up_to (Array.length elts) k (fun buf len ->
               for i = 0 to len - 1 do
-                translated.(i) <- nodes.(buf.(i))
+                translated.(i) <- elts.(buf.(i))
               done;
-              f translated len)))
+              f translated len))
+    end
 
 let expanded_failure_sets ~symmetry r =
   List.sort compare
@@ -456,111 +423,12 @@ let expanded_failure_sets ~symmetry r =
            (Auto.orbit_of_set symmetry (Array.of_list faults)))
        r.failures)
 
-let sampled ~rng ~trials ?budget ?solve ?max_failures inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  run_checks ?budget ?solve ?max_failures inst (fun f ->
-      for _ = 1 to trials do
-        let buf = Combinat.sample_up_to rng order k in
-        f buf (Array.length buf)
-      done)
-
-(* ------------------------------------------------------------------ *)
-(* Generalized fault models                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Model-aware twins of {!solve_checked}/{!check_mask}/{!splice_checked}:
-   same metric cells, same revalidation discipline, with {!Fault_model}
-   supplying the degraded instance and the local repair rule.  For the
-   node model every call short-circuits to the legacy helper's exact
-   code path (same solver entry, same patch rule, same validator), which
-   is what keeps the [_model] entry points byte-identical to the legacy
-   ones there — the equivalence tests and the CI crosscheck enforce it. *)
-let solve_checked_model ?budget ?solve model mask =
-  let outcome =
-    match solve with
-    | Some f -> f ~faults:mask
-    | None -> Fault_model.solve ?budget model ~faults:mask
-  in
-  match outcome with
-  | Reconfig.Pipeline p -> (
-    match Fault_model.validate model ~faults:mask p.Pipeline.nodes with
-    | Ok _ -> Ok p
-    | Error e -> Error ("invalid witness: " ^ e))
-  | Reconfig.No_pipeline -> Error "no pipeline"
-  | Reconfig.Gave_up -> Error "solver gave up"
-
-let check_mask_model ?budget ?solve model mask =
-  Metrics.incr m_solver_calls;
-  Result.map ignore (solve_checked_model ?budget ?solve model mask)
-
-let splice_checked_model ?budget ?solve ?(reported = true) model ~parent
-    ~mask ~failed =
-  match parent with
-  | Ok current -> (
-    match Fault_model.splice model ~current ~faults:mask ~failed with
-    | Some (`Unchanged p | `Spliced p) ->
-      if reported then Metrics.incr m_splices;
-      Ok p
-    | None ->
-      if reported then Metrics.incr m_splice_failures
-      else Metrics.incr m_scaffold_solves;
-      solve_checked_model ?budget ?solve model mask)
-  | Error _ ->
-    if not reported then Metrics.incr m_scaffold_solves;
-    solve_checked_model ?budget ?solve model mask
-
-let model_core ?budget ?solve model =
-  {
-    c_mask = Bitset.create (Fault_model.size model);
-    c_full = (fun mask -> solve_checked_model ?budget ?solve model mask);
-    c_splice =
-      (fun ~reported ~parent mask failed ->
-        splice_checked_model ?budget ?solve ~reported model ~parent ~mask
-          ~failed);
-  }
-
-let exhaustive_model ?budget ?solve ?(max_failures = 5) ?universe ?symmetry
-    ?(splice = true) model =
+let sampled ~rng ~trials ?budget ?solve ?(max_failures = 5) ?model inst =
+  let model = Fault_model.resolve model inst in
   let usize = Fault_model.size model in
   let k = Fault_model.max_faults model in
-  let core = model_core ?budget ?solve model in
-  (* The caller hands the instance's node group; its action on the
-     model's universe is what the orbit machinery needs. *)
-  let induced = Option.map (Fault_model.induced_symmetry model) symmetry in
-  match induced with
-  | Some group when not (Auto.is_trivial group) ->
-    let universe = Option.map Array.of_list universe in
-    let reps = Auto.fault_orbits ?universe group ~max_size:k in
-    if splice then orbits_splice_core core ~max_failures ~k reps
-    else orbits_core core ~max_failures reps
-  | Some _ | None when splice ->
-    let elts =
-      match universe with
-      | None -> Array.init usize Fun.id
-      | Some l -> Array.of_list l
-    in
-    dfs_core core ~max_failures ~elts ~k
-  | Some _ | None -> (
-    match universe with
-    | None ->
-      run_checks_core core ~max_failures (fun f ->
-          Combinat.iter_subsets_up_to usize k (fun buf len -> f buf len))
-    | Some l ->
-      let elts = Array.of_list l in
-      let translated = Array.make (Array.length elts) 0 in
-      run_checks_core core ~max_failures (fun f ->
-          Combinat.iter_subsets_up_to (Array.length elts) k (fun buf len ->
-              for i = 0 to len - 1 do
-                translated.(i) <- elts.(buf.(i))
-              done;
-              f translated len)))
-
-let sampled_model ~rng ~trials ?budget ?solve ?(max_failures = 5) model =
-  let usize = Fault_model.size model in
-  let k = Fault_model.max_faults model in
-  run_checks_core
-    (model_core ?budget ?solve model)
+  run_checks
+    { model; budget; solve; mask = Bitset.create usize }
     ~max_failures
     (fun f ->
       for _ = 1 to trials do
@@ -576,98 +444,14 @@ let check_model_set ?budget model indices =
         invalid_arg "Verify.check_model_set: universe index out of range")
     indices;
   Metrics.incr m_solver_calls;
-  solve_checked_model ?budget model (Bitset.of_list usize indices)
-
-let exhaustive_parallel ?budget ?(max_failures = 5) ?domains inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  (* Work items: the empty fault set, plus one block per (size, first
-     element): all size-[s] subsets whose smallest element is [f0]. *)
-  let blocks =
-    List.concat_map
-      (fun s -> List.init order (fun f0 -> (s, f0)))
-      (List.init (min k order) (fun i -> i + 1))
-  in
-  let blocks = Array.of_list blocks in
-  let next = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let run_domain () =
-    let checked = ref 0 in
-    let failures = ref [] in
-    let gave_up = ref 0 in
-    let mask = Bitset.create order in
-    (* Per-domain search context: repeated solves inside one domain reuse
-       the backtracker's scratch state. *)
-    let ctx = Reconfig.make_ctx inst in
-    let solve ~faults = Reconfig.solve ?budget ~ctx inst ~faults in
-    let check_one buf len =
-      Bitset.clear mask;
-      for i = 0 to len - 1 do
-        Bitset.add mask buf.(i)
-      done;
-      incr checked;
-      match check_mask ?budget ~solve inst mask with
-      | Ok () -> ()
-      | Error reason ->
-        if reason = "solver gave up" then incr gave_up;
-        failures :=
-          { faults = Array.to_list (Array.sub buf 0 len); reason; orbit = 1 }
-          :: !failures;
-        if List.length !failures >= max_failures then Atomic.set stop true
-    in
-    let buf = Array.make (max 1 k) 0 in
-    let rec drain () =
-      if not (Atomic.get stop) then begin
-        let idx = Atomic.fetch_and_add next 1 in
-        if idx < Array.length blocks then begin
-          let s, f0 = blocks.(idx) in
-          (* Subsets of size s with minimum element f0: f0 plus a size-(s-1)
-             subset of {f0+1 .. order-1}. *)
-          let rest = order - f0 - 1 in
-          if s - 1 <= rest then
-            Combinat.iter_choose rest (s - 1) (fun tail ->
-                if not (Atomic.get stop) then begin
-                  buf.(0) <- f0;
-                  Array.iteri (fun i x -> buf.(i + 1) <- f0 + 1 + x) tail;
-                  check_one buf s
-                end);
-          drain ()
-        end
-      end
-    in
-    drain ();
-    (!checked, !failures, !gave_up)
-  in
-  (* The empty set is checked inline; blocks go to the domains. *)
-  let empty_result =
-    let mask = Bitset.create order in
-    match check_mask ?budget inst mask with
-    | Ok () -> []
-    | Error reason -> [ { faults = []; reason; orbit = 1 } ]
-  in
-  let workers = List.init domains (fun _ -> Domain.spawn run_domain) in
-  let results = List.map Domain.join workers in
-  let checked, failures, gave_up =
-    List.fold_left
-      (fun (c, f, g) (c', f', g') -> (c + c', f' @ f, g + g'))
-      (1, empty_result, 0)
-      results
-  in
-  (* Domains stop soon after the shared flag is set, but each may already
-     hold findings; keep the promised cap. *)
-  let failures = List.filteri (fun i _ -> i < max_failures) failures in
-  { fault_sets_checked = checked; solver_calls = checked; failures; gave_up }
+  solve_checked ?budget model (Bitset.of_list usize indices)
 
 let is_k_gd r = r.failures = [] && r.gave_up = 0
 
 let breaking_fault_set ?budget ?max_size inst =
   let order = Instance.order inst in
   let max_size = Option.value max_size ~default:(inst.Instance.k + 1) in
+  let model = Fault_model.node inst in
   let mask = Bitset.create order in
   let found = ref None in
   (try
@@ -675,7 +459,7 @@ let breaking_fault_set ?budget ?max_size inst =
        Combinat.iter_choose order size (fun buf ->
            Bitset.clear mask;
            Array.iter (Bitset.add mask) buf;
-           match check_mask ?budget inst mask with
+           match check_mask ?budget model mask with
            | Ok () -> ()
            | Error _ ->
              found := Some (Array.to_list buf);
@@ -690,19 +474,18 @@ let tolerance ?budget ?cap inst =
   | Some witness -> List.length witness - 1
   | None -> cap
 
-let pp_report ppf r =
+let pp_summary describe ppf r =
   Format.fprintf ppf "checked %d fault sets%s: %s" r.fault_sets_checked
     (if r.solver_calls < r.fault_sets_checked then
        Format.asprintf " (%d orbit representatives solved)" r.solver_calls
      else "")
     (if is_k_gd r then "all tolerated"
      else
-       Format.asprintf "%d failures (first: {%s}%s — %s)%s"
+       Format.asprintf "%d failures (first: %s%s — %s)%s"
          (List.length r.failures)
          (match r.failures with
-         | { faults; _ } :: _ ->
-           String.concat "," (List.map string_of_int faults)
-         | [] -> "")
+         | { faults; _ } :: _ -> describe faults
+         | [] -> "{}")
          (match r.failures with
          | { orbit; _ } :: _ when orbit > 1 ->
            Format.asprintf " ×%d orbit" orbit
@@ -710,3 +493,9 @@ let pp_report ppf r =
          (match r.failures with { reason; _ } :: _ -> reason | [] -> "")
          (if r.gave_up > 0 then Format.asprintf " (%d gave up)" r.gave_up
           else ""))
+
+let pp_report =
+  pp_summary (fun faults ->
+      "{" ^ String.concat "," (List.map string_of_int faults) ^ "}")
+
+let pp_report_in model = pp_summary (Fault_model.describe model)

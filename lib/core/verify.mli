@@ -31,35 +31,48 @@ val exhaustive :
   ?universe:int list ->
   ?symmetry:Gdpn_graph.Auto.group ->
   ?splice:bool ->
+  ?model:Fault_model.t ->
   Instance.t ->
   report
-(** Check every fault set of size [0..k] drawn from [universe] (default:
-    all nodes, terminals included; pass [Instance.processors t] for the
-    merged-terminal model where I/O devices are fault-free).
-    [max_failures] (default 5) bounds the retained counterexamples;
-    enumeration stops early once reached.
+(** Check every fault set of size [0..k] drawn from the fault model's
+    universe.  [model] (default {!Fault_model.node} of the instance, the
+    paper's node faults) must be built over this instance
+    ([Invalid_argument] otherwise); fault sets are subsets of its
+    universe, so [failure.faults] holds universe indices (node ids for
+    the node model; render others with {!Fault_model.describe}).
 
-    [symmetry] (typically [Instance.symmetry inst]) switches to
-    orbit-reduced enumeration: only one representative per orbit of the
-    group is solved, [fault_sets_checked] and [gave_up] are scaled by
-    orbit sizes, and failures carry their orbit size.  The verdict
-    ({!is_k_gd}) is unchanged because group elements preserve fault-set
-    solvability.  A trivial group degrades to the plain path.  Raises
-    [Invalid_argument] if the group's degree differs from the instance
-    order or [universe] is not group-invariant.
+    [universe] restricts the elements drawn (default: the whole
+    universe; pass [Instance.processors t] for the merged-terminal
+    node model where I/O devices are fault-free).  [max_failures]
+    (default 5) bounds the retained counterexamples; enumeration stops
+    early once reached.  [solve] overrides the per-set solver (the
+    engine passes its context-reusing solver); witnesses are revalidated
+    against the degraded instance regardless, so a dishonest override
+    cannot make verification pass.
+
+    [symmetry] (typically [Instance.symmetry inst]) is the instance's
+    node group and switches to orbit-reduced enumeration under its
+    induced action on the universe ({!Fault_model.induced_symmetry}):
+    only one representative per orbit is solved, [fault_sets_checked]
+    and [gave_up] are scaled by orbit sizes, and failures carry their
+    orbit size.  The verdict ({!is_k_gd}) is unchanged because group
+    elements preserve fault-set solvability.  A trivial group degrades
+    to the plain path.  Raises [Invalid_argument] if the group's degree
+    differs from the instance order or [universe] is not
+    group-invariant.
 
     [splice] (default [true]) enumerates the fault space as a prefix
     tree, keeping a per-branch stack of solved plans: each child set is
-    first patched from its parent's pipeline ({!Repair.patch}, which
-    revalidates — a positive verdict is always genuine) and only solved
-    from scratch when the splice fails.  Negatives always come from a
-    full solve, so the report is identical to [~splice:false] field for
-    field (the one theoretical exception: with a finite [budget], a
-    splice can succeed where the budgeted solver would have given up —
-    the default budget is unbounded, and [gdp verify --crosscheck]
-    guards budgeted runs).  In orbit-reduced mode the representatives'
-    shared prefixes form the chain, and each representative is patched
-    from its nearest solved ancestor. *)
+    first repaired from its parent's pipeline by the model's local rule
+    ({!Fault_model.splice}, which revalidates — a positive verdict is
+    always genuine) and only solved from scratch when the splice fails.
+    Negatives always come from a full solve, so the report is identical
+    to [~splice:false] field for field (the one theoretical exception:
+    with a finite [budget], a splice can succeed where the budgeted
+    solver would have given up — the default budget is unbounded, and
+    [gdp verify --crosscheck] guards budgeted runs).  In orbit-reduced
+    mode the representatives' shared prefixes form the chain, and each
+    representative is patched from its nearest solved ancestor. *)
 
 val expanded_failure_sets :
   symmetry:Gdpn_graph.Auto.group -> report -> int list list
@@ -74,22 +87,14 @@ val sampled :
   ?budget:int ->
   ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   ?max_failures:int ->
+  ?model:Fault_model.t ->
   Instance.t ->
   report
-(** Check [trials] fault sets drawn uniformly (size uniform on [0..k],
-    contents uniform for that size).  Callers must thread an explicitly
-    chosen seed into [rng] — deriving it from instance parameters silently
-    correlates the fault-sample sequences of same-order instances. *)
-
-val exhaustive_parallel :
-  ?budget:int -> ?max_failures:int -> ?domains:int -> Instance.t -> report
-(** {!exhaustive} fanned out over OCaml 5 domains (default:
-    [Domain.recommended_domain_count () - 1], at least 1).  The fault space
-    is partitioned into (size, first-element) blocks drained through an
-    atomic work counter; a shared stop flag propagates the
-    [max_failures] cut-off.  All solver state is per-call, so domains never
-    contend.  Equivalent to {!exhaustive} (same space; failure order may
-    differ). *)
+(** Check [trials] fault sets drawn uniformly from the model's universe
+    (size uniform on [0..k], contents uniform for that size); [model] as
+    in {!exhaustive}.  Callers must thread an explicitly chosen seed into
+    [rng] — deriving it from instance parameters silently correlates the
+    fault-sample sequences of same-order instances. *)
 
 val is_k_gd : report -> bool
 (** True when no failures occurred and the solver never gave up, i.e. the
@@ -116,18 +121,20 @@ val check_fault_set : ?budget:int -> Instance.t -> int list -> (unit, string) re
 val check_mask :
   ?budget:int ->
   ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Instance.t ->
+  Fault_model.t ->
   Gdpn_graph.Bitset.t ->
   (unit, string) result
-(** {!check_fault_set} on a prebuilt mask.  [solve] overrides the solver
-    call (the engine layer passes its context-reusing solver here); the
-    returned witness is revalidated regardless, so a dishonest override
-    cannot make verification pass. *)
+(** Check one fault set, a mask over the model's universe: solve through
+    {!Fault_model.solve} and revalidate the witness on the degraded
+    instance.  [solve] overrides the solver call (the engine layer passes
+    its context-reusing solver here); the returned witness is
+    revalidated regardless, so a dishonest override cannot make
+    verification pass.  Counts in [verify.solver_calls]. *)
 
 val solve_checked :
   ?budget:int ->
   ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Instance.t ->
+  Fault_model.t ->
   Gdpn_graph.Bitset.t ->
   (Pipeline.t, string) result
 (** {!check_mask} keeping the validated witness (for reuse as a splice
@@ -138,13 +145,14 @@ val splice_checked :
   ?budget:int ->
   ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   ?reported:bool ->
-  Instance.t ->
+  Fault_model.t ->
   parent:(Pipeline.t, string) result ->
   mask:Gdpn_graph.Bitset.t ->
   failed:int ->
   (Pipeline.t, string) result
-(** Splice-first check of [mask] = parent's faults ∪ {[failed]}: patch
-    the parent's pipeline around [failed] (revalidated, so positives are
+(** Splice-first check of [mask] = parent's faults ∪ {[failed]} ([failed]
+    a universe index): repair the parent's pipeline with the model's
+    local rule ({!Fault_model.splice}, revalidated, so positives are
     genuine), full solve on splice failure or when the parent has no
     pipeline (tolerance is not monotone).  Negatives always come from a
     full solve, so failure reasons match {!check_mask} exactly.
@@ -188,80 +196,15 @@ val merge_tagged :
     into orbit-expanded totals. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** The one-line summary [gdp verify] prints, fault sets as node ids
+    ([{3,7}]). *)
 
-(** {1 Generalized fault models}
-
-    Model-parametric twins of the node entry points: fault sets are
-    subsets of the model's universe ({!Fault_model.size} elements), so
-    [failure.faults] holds universe {e indices} (render with
-    {!Fault_model.describe}).  All four strategies — plain, splice-first
-    DFS, orbit-reduced from scratch, orbit-reduced with splicing — share
-    their enumeration bodies with the legacy path, and for the node model
-    ({!Fault_model.node}) each produces a report byte-identical to its
-    legacy twin (enforced by the equivalence tests and the CI
-    crosscheck). *)
-
-val exhaustive_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  ?max_failures:int ->
-  ?universe:int list ->
-  ?symmetry:Gdpn_graph.Auto.group ->
-  ?splice:bool ->
-  Fault_model.t ->
-  report
-(** {!exhaustive} over the model's universe.  [universe] is a list of
-    universe indices (default: the whole universe).  [symmetry] is the
-    {e node} symmetry group (typically
-    [Instance.symmetry (Fault_model.instance m)]); its action on the
-    universe is derived via {!Fault_model.induced_symmetry}, so
-    orbit-reduced enumeration works for links, colour classes and
-    neighborhoods exactly as for nodes.  [solve] overrides the per-set
-    solver (the engine passes its context-reusing, cache-aware solver);
-    witnesses are revalidated against the degraded instance regardless. *)
-
-val sampled_model :
-  rng:Random.State.t ->
-  trials:int ->
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  ?max_failures:int ->
-  Fault_model.t ->
-  report
-(** {!sampled} over the model's universe. *)
+val pp_report_in : Fault_model.t -> Format.formatter -> report -> unit
+(** {!pp_report} with fault sets in the model's element syntax
+    ({!Fault_model.describe}); identical to it for the node model. *)
 
 val check_model_set :
   ?budget:int -> Fault_model.t -> int list -> (Pipeline.t, string) result
 (** Check one explicit fault set given as universe indices, keeping the
     witness pipeline (the CLI's [--faults] debugging aid).  Raises
     [Invalid_argument] on an out-of-range index. *)
-
-val solve_checked_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Fault_model.t ->
-  Gdpn_graph.Bitset.t ->
-  (Pipeline.t, string) result
-(** {!solve_checked} against a model: solve through
-    {!Fault_model.solve}, revalidate the witness on the degraded
-    instance.  Like its twin, does not touch [verify.solver_calls]. *)
-
-val check_mask_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Fault_model.t ->
-  Gdpn_graph.Bitset.t ->
-  (unit, string) result
-
-val splice_checked_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  ?reported:bool ->
-  Fault_model.t ->
-  parent:(Pipeline.t, string) result ->
-  mask:Gdpn_graph.Bitset.t ->
-  failed:int ->
-  (Pipeline.t, string) result
-(** {!splice_checked} against a model: local repair via
-    {!Fault_model.splice} ([failed] is a universe index), full solve on
-    splice failure.  Metric cells match the legacy twin. *)

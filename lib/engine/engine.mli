@@ -23,6 +23,12 @@
       out over OCaml 5 domains with per-domain ctxs and deterministic
       result merging.
 
+    Every entry point works over a {!Gdpn_core.Fault_model}: an optional
+    [?model] names the fault universe (nodes, links, colour classes,
+    neighborhoods) and defaults to the node model, the paper's.  There
+    is one implementation of each operation; the node model is simply
+    the default instance of it.
+
     Since PR 9 the fault-plan cache is a {!Shard_cache}: N hash-sharded
     slices with a lock-free read path and per-shard writer locks, bounded
     at [cache_limit] entries with oldest-first eviction.  The cache is
@@ -62,13 +68,25 @@ val instance : t -> Gdpn_core.Instance.t
 val budget : t -> int
 
 val solve :
-  ?cache:bool -> t -> faults:Gdpn_graph.Bitset.t -> Gdpn_core.Reconfig.outcome
+  ?cache:bool ->
+  ?model:Gdpn_core.Fault_model.t ->
+  t ->
+  faults:Gdpn_graph.Bitset.t ->
+  Gdpn_core.Reconfig.outcome
 (** Like {!Gdpn_core.Reconfig.solve} but through the engine: plan cache,
-    splice-before-solve, ctx reuse.  [~cache:false] bypasses lookup,
-    splice and insertion (still reuses the ctx) — verification uses this so
-    its verdicts are exactly the plain solver's.  Spliced witnesses are
-    revalidated by {!Gdpn_core.Repair.patch} before being returned, so a
-    [Pipeline] outcome is always genuine. *)
+    splice-before-solve, ctx reuse.  [faults] is a mask over [model]'s
+    universe; [model] (default: the node model, the paper's node faults)
+    must be built over this engine's instance ([Invalid_argument]
+    otherwise).  Plans are cached per model — the effective key is
+    [(Fault_model.id, mask)]; the node model's table is a plain field, so
+    its cache hits take no lock and allocate nothing, while the other
+    models' tables are created on first use.  The splice probe repairs
+    cached one-element-smaller predecessors through the model's local
+    rule ({!Gdpn_core.Fault_model.splice}).  [~cache:false] bypasses
+    lookup, splice and insertion (still reuses the ctx) — verification
+    uses this so its verdicts are exactly the plain solver's.  Spliced
+    witnesses are revalidated before being returned, so a [Pipeline]
+    outcome is always genuine. *)
 
 val solve_list :
   ?cache:bool -> t -> faults:int list -> Gdpn_core.Reconfig.outcome
@@ -87,20 +105,6 @@ val solve_child :
     entry point behind prefix-tree verification, where a parent plan is
     always at hand — unlike {!solve}'s cache probe, it never has to guess
     which predecessor might be cached. *)
-
-val solve_model :
-  ?cache:bool ->
-  t ->
-  Gdpn_core.Fault_model.t ->
-  faults:Gdpn_graph.Bitset.t ->
-  Gdpn_core.Reconfig.outcome
-(** {!solve} generalized to a fault model built over this engine's
-    instance ([Invalid_argument] otherwise): [faults] is a mask over the
-    model's universe, plans are cached per model — the effective key is
-    [(Fault_model.id, mask)] — and the splice probe repairs cached
-    one-element-smaller predecessors through the model's local rule.  The
-    node model takes the legacy {!solve} path unchanged (same cache, same
-    counters, zero extra cost). *)
 
 val stats : t -> stats
 
@@ -168,39 +172,26 @@ val verify_exhaustive :
   ?universe:int list ->
   ?symmetry:Gdpn_graph.Auto.group ->
   ?splice:bool ->
+  ?model:Gdpn_core.Fault_model.t ->
   t ->
   Gdpn_core.Verify.report
 (** {!Gdpn_core.Verify.exhaustive} through the engine's ctx (uncached
-    checks; see {!solve}).  [symmetry] enables orbit-reduced enumeration;
-    [splice] (default true) the prefix-tree splice-first enumeration. *)
+    checks; see {!solve}).  [symmetry] is the node group and enables
+    orbit-reduced enumeration under its induced action on [model]'s
+    universe; [splice] (default true) the prefix-tree splice-first
+    enumeration; [model] as in {!solve}. *)
 
 val verify_sampled :
-  seed:int -> trials:int -> ?max_failures:int -> t -> Gdpn_core.Verify.report
+  seed:int ->
+  trials:int ->
+  ?max_failures:int ->
+  ?model:Gdpn_core.Fault_model.t ->
+  t ->
+  Gdpn_core.Verify.report
 (** {!Gdpn_core.Verify.sampled} through the engine's ctx.  The RNG is
     derived from the explicit [seed] alone — never from instance
     parameters, which would correlate the fault-sample sequences of
     same-order instances. *)
-
-val verify_exhaustive_model :
-  ?max_failures:int ->
-  ?universe:int list ->
-  ?symmetry:Gdpn_graph.Auto.group ->
-  ?splice:bool ->
-  t ->
-  Gdpn_core.Fault_model.t ->
-  Gdpn_core.Verify.report
-(** {!Gdpn_core.Verify.exhaustive_model} through the engine's ctx and
-    model-keyed plan cache (uncached checks, as in {!verify_exhaustive}).
-    [symmetry] is the node group; the induced action on the model's
-    universe drives orbit reduction. *)
-
-val verify_sampled_model :
-  seed:int ->
-  trials:int ->
-  ?max_failures:int ->
-  t ->
-  Gdpn_core.Fault_model.t ->
-  Gdpn_core.Verify.report
 
 val certify : ?symmetry:bool -> t -> string
 (** Certificate generation through the cached solver: witnesses for
@@ -255,9 +246,12 @@ module Parallel : sig
     ?min_items_per_domain:int ->
     ?symmetry:Gdpn_graph.Auto.group ->
     ?splice:bool ->
+    ?model:Gdpn_core.Fault_model.t ->
     Gdpn_core.Instance.t ->
     Gdpn_core.Verify.report
-  (** Check every fault set of size [0..k].  The space is split into one
+  (** Check every fault set of size [0..k] of [model]'s universe
+      (default: the node model; a model built over another instance
+      raises [Invalid_argument]).  The space is split into one
       shallow unit (the sets of size < min k 2) plus one DFS-subtree unit
       per size-[min k 2] prefix — units of comparable weight, unlike the
       old (size, first-element) blocks whose first block held about half
@@ -287,13 +281,15 @@ module Parallel : sig
       to the sequential verifier.  Pass [~min_items_per_domain:0] to
       force real sharding regardless of size (benchmarks, tests).
 
-      With a nontrivial [symmetry] group, only orbit representatives are
-      sharded — fewer but individually heavier work items, so the units
-      are small contiguous chunks of the representative array; the
-      per-domain chain splices each representative from its nearest
-      solved ancestor.  Counts are orbit-expanded through prefix sums
+      [symmetry] is the instance's {e node} group; its induced action on
+      the model's universe drives orbit reduction.  With a nontrivial
+      group, only orbit representatives are sharded — fewer but
+      individually heavier work items, so the units are small contiguous
+      chunks of the representative array; the per-domain chain splices
+      each representative from its nearest solved ancestor.  Counts are orbit-expanded through prefix sums
       during the merge; the result equals the sequential
-      [Verify.exhaustive ~symmetry] report field for field. *)
+      [Verify.exhaustive ~symmetry] report field for field.  All domains
+      share one model (its degraded-instance cache is mutex-protected). *)
 
   val verify_sampled :
     seed:int ->
@@ -302,40 +298,14 @@ module Parallel : sig
     ?max_failures:int ->
     ?domains:int ->
     ?min_items_per_domain:int ->
+    ?model:Gdpn_core.Fault_model.t ->
     Gdpn_core.Instance.t ->
     Gdpn_core.Verify.report
-  (** Sampled verification: the full trial sequence is drawn up front from
+  (** Sampled verification over [model]'s universe (default: the node
+      model): the full trial sequence is drawn up front from
       [seed] on one RNG (byte-identical to the sequential stream), then
       only the solving is sharded.  [min_items_per_domain] as in
       {!verify_exhaustive}. *)
-
-  val verify_exhaustive_model :
-    ?budget:int ->
-    ?max_failures:int ->
-    ?domains:int ->
-    ?min_items_per_domain:int ->
-    ?symmetry:Gdpn_graph.Auto.group ->
-    ?splice:bool ->
-    Gdpn_core.Fault_model.t ->
-    Gdpn_core.Verify.report
-  (** {!verify_exhaustive} over a fault model's universe: the same
-      work-stealing shards and per-domain prefix chains, with the model
-      supplying the degraded instance and the local repair rule (the
-      model's degraded-instance cache is mutex-protected, so all domains
-      share one model).  [symmetry] is the {e node} group; its induced
-      action on the universe drives orbit-reduced sharding.  For the node
-      model the report is byte-identical to {!verify_exhaustive}. *)
-
-  val verify_sampled_model :
-    seed:int ->
-    trials:int ->
-    ?budget:int ->
-    ?max_failures:int ->
-    ?domains:int ->
-    ?min_items_per_domain:int ->
-    Gdpn_core.Fault_model.t ->
-    Gdpn_core.Verify.report
-  (** {!verify_sampled} over a fault model's universe. *)
 
   (** First-class verification tasks: one verification problem decomposed
       into a canonical array of serializable work units
@@ -351,6 +321,7 @@ module Parallel : sig
       ?budget:int ->
       ?symmetry:Gdpn_graph.Auto.group ->
       ?splice:bool ->
+      ?model:Gdpn_core.Fault_model.t ->
       Gdpn_core.Instance.t ->
       t
     (** The unit decomposition behind {!Parallel.verify_exhaustive}: one
@@ -361,16 +332,8 @@ module Parallel : sig
         consecutive representatives share maximal prefixes, so each
         splices from its nearest solved ancestor, while ranks — and
         therefore counts and the merged report — remain the canonical
-        size-major indices). *)
-
-    val exhaustive_model :
-      ?budget:int ->
-      ?symmetry:Gdpn_graph.Auto.group ->
-      ?splice:bool ->
-      Gdpn_core.Fault_model.t ->
-      t
-    (** {!exhaustive} over a fault model's universe; [symmetry] is the
-        node group, inducing the action on the universe. *)
+        size-major indices).  [model] and [symmetry] as in
+        {!Parallel.verify_exhaustive}. *)
 
     val nunits : t -> int
 

@@ -34,9 +34,8 @@ let solver_budget = ref 2_000_000
 let resolve t =
   let before = (Engine.stats t.engine).Engine.full_solves in
   let outcome =
-    match t.model with
-    | Some m -> Engine.solve_model ~cache:t.local_repair t.engine m ~faults:t.fault_mask
-    | None -> Engine.solve ~cache:t.local_repair t.engine ~faults:t.fault_mask
+    Engine.solve ~cache:t.local_repair ?model:t.model t.engine
+      ~faults:t.fault_mask
   in
   let solved_fully = (Engine.stats t.engine).Engine.full_solves > before in
   match outcome with

@@ -32,7 +32,7 @@ val create :
     [Invalid_argument] otherwise) runs the machine over a generalized
     fault universe: {!inject} then takes universe indices (nodes, links,
     colour classes, neighborhoods — see {!Gdpn_core.Fault_model}) and
-    reconfiguration goes through {!Gdpn_engine.Engine.solve_model}, so the
+    reconfiguration goes through {!Gdpn_engine.Engine.solve} with it, so the
     model-keyed plan cache and splice path apply. *)
 
 val instance : t -> Gdpn_core.Instance.t

@@ -208,13 +208,19 @@ let graph6_props =
 (* Parallel verification                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Real sharding regardless of size: the serial fallback would hide the
+   partition from these checks. *)
+let parallel_exhaustive ~domains inst =
+  Gdpn_engine.Engine.Parallel.verify_exhaustive ~domains
+    ~min_items_per_domain:0 inst
+
 let parallel_tests =
   [
     tc_slow "parallel exhaustive matches serial on sound instances" (fun () ->
         List.iter
           (fun inst ->
             let serial = Verify.exhaustive inst in
-            let parallel = Verify.exhaustive_parallel ~domains:3 inst in
+            let parallel = parallel_exhaustive ~domains:3 inst in
             check Alcotest.int
               (inst.Instance.name ^ ": same count")
               serial.Verify.fault_sets_checked
@@ -234,19 +240,17 @@ let parallel_tests =
             ~kind:(Array.init (Instance.order inst) (Instance.kind_of inst))
             ~n:1 ~k:2 ~name:"broken" ~strategy:Instance.Generic
         in
-        let r = Verify.exhaustive_parallel ~domains:2 broken in
+        let r = parallel_exhaustive ~domains:2 broken in
         check Alcotest.bool "not k-GD" false (Verify.is_k_gd r));
     tc "single domain degenerates to serial behaviour" (fun () ->
         let inst = Small_n.g2 ~k:2 in
-        let r = Verify.exhaustive_parallel ~domains:1 inst in
+        let r = parallel_exhaustive ~domains:1 inst in
         check Alcotest.int "count"
           (Gdpn_graph.Combinat.count_up_to (Instance.order inst) 2)
           r.Verify.fault_sets_checked);
     tc_slow "parallel partition covers the G(22,4) space exactly" (fun () ->
-        (* The block partition (size, first-element) is the intricate part;
-           check it against the analytic count on a 66,712-set space. *)
         let inst = Circulant_family.build ~n:22 ~k:4 in
-        let r = Verify.exhaustive_parallel ~domains:4 inst in
+        let r = parallel_exhaustive ~domains:4 inst in
         check Alcotest.int "count"
           (Gdpn_graph.Combinat.count_up_to (Instance.order inst) 4)
           r.Verify.fault_sets_checked;
