@@ -538,14 +538,12 @@ let b12_symmetry =
     ]
 
 let b13_kernel =
-  (* Word-parallel bitset-row kernel vs the retained reference
-     backtracker (PR 4).  Both paths return identical outcomes and
-     perform identical expansion counts by contract (test_kernel, gdp
-     verify --crosscheck), so any delta is pure kernel mechanics:
-     adjacency-row candidate generation, frontier-bitset BFS
-     connectivity, incremental degree summaries.  The solve rows cycle
-     32 fixed fault masks through the generic solver; the verify rows
-     run a whole exhaustive fault space per iteration. *)
+  (* The word-parallel bitset-row Hamilton kernel (PR 4).  Its results
+     and expansion counts are pinned by test/golden/kernel_expansions.txt
+     and by the oracle tests against the pre-kernel backtracker kept in
+     test/.  The solve row cycles 32 fixed fault masks through the
+     generic solver; the verify row runs a whole exhaustive fault space
+     per iteration. *)
   let circ = Circulant_family.build ~n:40 ~k:4 in
   let order = Instance.order circ in
   let masks =
@@ -554,9 +552,7 @@ let b13_kernel =
       (fault_sets circ ~seed:21 ~count:circ.Instance.k)
   in
   let i = ref 0 in
-  let j = ref 0 in
   let g62 = Special.g62 () in
-  let ref_solve inst ~faults = Reconfig.solve ~reference:true inst ~faults in
   Test.make_grouped ~name:"B13-kernel"
     [
       Test.make ~name:"G(40,4) solve generic, kernel"
@@ -564,18 +560,8 @@ let b13_kernel =
              let faults = masks.(!i land 31) in
              incr i;
              Sys.opaque_identity (Reconfig.solve_generic circ ~faults)));
-      Test.make ~name:"G(40,4) solve generic, reference"
-        (Staged.stage (fun () ->
-             let faults = masks.(!j land 31) in
-             incr j;
-             Sys.opaque_identity
-               (Reconfig.solve_generic ~reference:true circ ~faults)));
       Test.make ~name:"G(6,2) exhaustive verify, kernel"
         (Staged.stage (fun () -> Sys.opaque_identity (Verify.exhaustive g62)));
-      Test.make ~name:"G(6,2) exhaustive verify, reference"
-        (Staged.stage (fun () ->
-             Sys.opaque_identity
-               (Verify.exhaustive ~solve:(ref_solve g62) g62)));
     ]
 
 let b14_splice =
@@ -1057,89 +1043,17 @@ let print_symmetry_stats stats =
     stats
 
 (* ------------------------------------------------------------------ *)
-(* B13 companion: fixed-workload kernel-vs-reference comparison        *)
-(* ------------------------------------------------------------------ *)
-
-(* Bechamel rows run quota-driven iteration counts, so their metrics
-   cannot show "same expansions, less time" for a matched workload.  This
-   companion runs each exhaustive verify exactly [reps] times through each
-   path, reads the kernel/reference expansion counters around the runs,
-   and reports wall time (best of [reps]) next to the per-run expansion
-   counts — the expansions must agree exactly, the time must not. *)
-type kernel_cmp = {
-  cmp_name : string;
-  cmp_solver_calls : int;
-  kernel_ns : int;
-  reference_ns : int;
-  cmp_expansions : int;  (** per run, identical for both paths *)
-  expansions_equal : bool;
-  reports_equal : bool;
-}
-
-let kernel_comparison () =
-  let module Metrics = Gdpn_obs.Metrics in
-  let module Mclock = Gdpn_obs.Mclock in
-  let exp_kernel = Metrics.counter "hamilton.expansions" in
-  let exp_reference = Metrics.counter "hamilton.ref_expansions" in
-  let reps = 5 in
-  let run inst ~reference =
-    let cell = if reference then exp_reference else exp_kernel in
-    let solve ~faults = Reconfig.solve ~reference inst ~faults in
-    let before = Metrics.value cell in
-    let best = ref max_int in
-    let report = ref None in
-    for _ = 1 to reps do
-      let t0 = Mclock.now_ns () in
-      let r = Verify.exhaustive ~solve inst in
-      let dur = Mclock.now_ns () - t0 in
-      if dur < !best then best := dur;
-      report := Some r
-    done;
-    (Option.get !report, !best, (Metrics.value cell - before) / reps)
-  in
-  List.map
-    (fun (name, inst) ->
-      let rk, kernel_ns, ek = run inst ~reference:false in
-      let rr, reference_ns, er = run inst ~reference:true in
-      {
-        cmp_name = name;
-        cmp_solver_calls = rk.Verify.solver_calls;
-        kernel_ns;
-        reference_ns;
-        cmp_expansions = ek;
-        expansions_equal = ek = er;
-        reports_equal = rk = rr;
-      })
-    [
-      ("G(4,3) exhaustive", Special.g43 ());
-      ("G(6,2) exhaustive", Special.g62 ());
-      ("G(3,5) exhaustive", Small_n.g3 ~k:5);
-      ("circulant G(22,4) exhaustive", Circulant_family.build ~n:22 ~k:4);
-    ]
-
-let print_kernel_comparison cmps =
-  pf "@.--- B13 companion: kernel vs reference, fixed workloads ---@.";
-  pf "%-28s %8s %12s %12s %8s %12s %6s %6s@." "workload" "solves" "kernel_ns"
-    "ref_ns" "speedup" "expansions" "=exp" "=rep";
-  List.iter
-    (fun c ->
-      pf "%-28s %8d %12d %12d %7.2fx %12d %6b %6b@." c.cmp_name
-        c.cmp_solver_calls c.kernel_ns c.reference_ns
-        (float_of_int c.reference_ns /. float_of_int (max 1 c.kernel_ns))
-        c.cmp_expansions c.expansions_equal c.reports_equal)
-    cmps
-
-(* ------------------------------------------------------------------ *)
 (* B14 companion: fixed-workload splice-vs-from-scratch comparison     *)
 (* ------------------------------------------------------------------ *)
 
-(* Same fixed-workload protocol as the kernel comparison: each exhaustive
-   verify runs exactly [reps] times per configuration, wall time is the
-   best of [reps], and the splice/splice-failure counters are read around
-   the spliced runs.  The four reports (splice, from-scratch, sharded at
-   1 domain, sharded at N domains) must be structurally identical; the
-   times must not.  [parn_ns <= par1_ns] is the scheduler's scaling
-   acceptance bar on multi-core hosts. *)
+(* Bechamel rows run quota-driven iteration counts, so their metrics
+   cannot show "same work, less time" for a matched workload.  Here each
+   exhaustive verify runs exactly [reps] times per configuration, wall
+   time is the best of [reps], and the splice/splice-failure counters are
+   read around the spliced runs.  The four reports (splice,
+   from-scratch, sharded at 1 domain, sharded at N domains) must be
+   structurally identical; the times must not.  [parn_ns <= par1_ns] is
+   the scheduler's scaling acceptance bar on multi-core hosts. *)
 type splice_cmp = {
   sp_name : string;
   sp_sets : int;
@@ -2113,7 +2027,7 @@ let json_float = function
   | Some f when Float.is_finite f -> Printf.sprintf "%.6g" f
   | Some _ | None -> "null"
 
-let write_json ~path rows stats cmps splices fms advs procs_rows scale
+let write_json ~path rows stats splices fms advs procs_rows scale
     (serve, serve_check) store_compile store_daemon =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -2152,25 +2066,6 @@ let write_json ~path rows stats cmps splices fms advs procs_rows scale
            s.verdicts_equal
            (if i = List.length stats - 1 then "" else ",")))
     stats;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"kernel_comparison\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"solver_calls\": %d, \
-            \"kernel_ns\": %d, \"reference_ns\": %d, \"speedup\": %s, \
-            \"expansions_per_run\": %d, \"expansions_equal\": %b, \
-            \"reports_equal\": %b}%s\n"
-           (json_escape c.cmp_name) c.cmp_solver_calls c.kernel_ns
-           c.reference_ns
-           (json_float
-              (Some
-                 (float_of_int c.reference_ns
-                 /. float_of_int (max 1 c.kernel_ns))))
-           c.cmp_expansions c.expansions_equal c.reports_equal
-           (if i = List.length cmps - 1 then "" else ",")))
-    cmps;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf "  \"splice_comparison\": [\n";
   List.iteri
@@ -2353,7 +2248,7 @@ let write_json ~path rows stats cmps splices fms advs procs_rows scale
      identical report), orbit x splice fusion (B16), generalized fault \
      models (PR 6, fault_model_solver_calls), prefix-tree splice-first \
      verification (PR 5, splice_comparison), word-parallel Hamilton \
-     kernel (PR 4, kernel_comparison), orbit-reduced node verification \
+     kernel (PR 4, B13-kernel), orbit-reduced node verification \
      (PR 2, symmetry_solver_calls).\"\n";
   Buffer.add_string buf "}\n";
   let oc = open_out path in
@@ -2391,8 +2286,6 @@ let () =
   | Some path ->
     let stats = symmetry_stats () in
     print_symmetry_stats stats;
-    let cmps = kernel_comparison () in
-    print_kernel_comparison cmps;
     let splices = splice_comparison () in
     print_splice_comparison splices;
     let fms = fault_model_stats () in
@@ -2409,7 +2302,7 @@ let () =
     print_store_compile_rows store_compile;
     let store_daemon = store_daemon_rows () in
     print_store_daemon_rows store_daemon;
-    write_json ~path rows stats cmps splices fms advs procs_rows scale serve
+    write_json ~path rows stats splices fms advs procs_rows scale serve
       store_compile store_daemon
   | None -> ());
   pf "@.done.@."

@@ -252,9 +252,9 @@ let verify_out_of_core inst model ~model_name ~n ~k ~domains ~procs
 
 (* --crosscheck: re-run the enumeration along independent paths and
    compare; the caller exits 3 on any disagreement.  The full-enumeration
-   and kernel-vs-reference checks enumerate without orbit reduction, so
-   they run for the node model only — over a link universe they would
-   cost far more than the verification being checked. *)
+   check enumerates without orbit reduction, so it runs for the node
+   model only — over a link universe it would cost far more than the
+   verification being checked. *)
 let verify_crosschecks inst model ~universe ~group ~no_splice ~domains
     ~out_of_core ~report ~max_failures =
   let cap = 1_000_000 in
@@ -331,32 +331,7 @@ let verify_crosschecks inst model ~universe ~group ~no_splice ~domains
         (verdict agree) spliced.Verify.fault_sets_checked n_splices;
       not agree
     in
-    (* The word-parallel kernel and the retained reference backtracker
-       must produce identical reports from identical expansion counts.
-       Splice is off on both sides so every set exercises the solvers. *)
-    let kernel_failed =
-      is_node
-      && begin
-        let kernel, ek =
-          delta "hamilton.expansions" (fun () ->
-              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
-                inst)
-        in
-        let reference, er =
-          delta "hamilton.ref_expansions" (fun () ->
-              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
-                ~solve:(fun ~faults ->
-                  Reconfig.solve ~reference:true inst ~faults)
-                inst)
-        in
-        let agree = kernel = reference && ek = er in
-        pf "crosscheck kernel vs reference: %s (%d solver calls, \
-            expansions %d vs %d)@."
-          (verdict agree) kernel.Verify.solver_calls ek er;
-        not agree
-      end
-    in
-    orbit_failed || splice_failed || kernel_failed
+    orbit_failed || splice_failed
   end
 
 let verify_cmd =
@@ -380,12 +355,10 @@ let verify_cmd =
     Arg.(value & flag & info [ "crosscheck" ]
            ~doc:"Exhaustive mode: re-run the enumeration with splice-first \
                  prefix-tree solving on and off and over the domain \
-                 shards, and compare the reports.  For the node model, \
-                 also re-run through the reference (pre-bitset-row) \
-                 backtracker and compare reports and expansion counts \
-                 against the word-parallel kernel, and with --symmetry run \
-                 the full enumeration and compare verdicts, counts and \
-                 (orbit-expanded) failure sets.  With \
+                 shards, and compare the reports.  For the node model \
+                 with --symmetry, also run the full enumeration and \
+                 compare verdicts, counts and (orbit-expanded) failure \
+                 sets.  With \
                  --procs/--checkpoint/--resume, compare the out-of-core \
                  report with the sequential one.  Exits 3 on any \
                  disagreement.")
@@ -915,52 +888,33 @@ let certify_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
            ~doc:"Destination certificate file.")
   in
-  let stream_arg =
-    Arg.(value & flag & info [ "stream" ]
-           ~doc:"Stream a compact binary (v4) certificate record by record \
-                 as each fault set is solved, instead of accumulating the \
-                 whole text in memory — O(1) memory for arbitrarily large \
-                 fault spaces.  `gdp check-cert` validates both formats.")
-  in
-  let run n k stream file =
+  let run n k file =
     let inst = Family.build ~n ~k in
     pf "%a@." Instance.pp inst;
-    (* Through the engine: size-s witnesses splice from their cached
-       size-(s-1) predecessors instead of re-running the solver. *)
-    let engine = Engine.create inst in
-    if stream then begin
-      let oc = open_out_bin file in
-      match Engine.certify_to engine oc with
+    match open_out_bin file with
+    | exception Sys_error e ->
+      pf "error: cannot open certificate: %s@." e;
+      2
+    | oc -> (
+      (* Through the engine: witnesses splice from their cached
+         one-fault-smaller predecessors instead of re-running the solver,
+         and leave the process record by record. *)
+      match Engine.certify (Engine.create inst) oc with
       | () ->
         let size = out_channel_length oc in
         close_out oc;
-        pf "wrote %s (%d bytes, streamed v4); re-check with `gdp \
-            check-cert`@."
-          file size;
+        pf "wrote %s (%d bytes); re-check with `gdp check-cert`@." file size;
         0
       | exception Failure msg ->
         close_out oc;
         (try Sys.remove file with Sys_error _ -> ());
         pf "cannot certify: %s@." msg;
-        1
-    end
-    else
-      match Engine.certify engine with
-      | cert ->
-        let oc = open_out file in
-        output_string oc cert;
-        close_out oc;
-        pf "wrote %s (%d bytes); re-check with `gdp check-cert`@." file
-          (String.length cert);
-        0
-      | exception Failure msg ->
-        pf "cannot certify: %s@." msg;
-        1
+        1)
   in
   Cmd.v
     (Cmd.info "certify"
-       ~doc:"Emit a witness certificate of k-graceful-degradability.")
-    Term.(const run $ n_arg $ k_arg $ stream_arg $ file_arg)
+       ~doc:"Stream a witness certificate of k-graceful-degradability.")
+    Term.(const run $ n_arg $ k_arg $ file_arg)
 
 let check_cert_cmd =
   let file_arg =
@@ -969,16 +923,23 @@ let check_cert_cmd =
   in
   let run n k file =
     let inst = Family.build ~n ~k in
-    let ic = open_in file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Certify.check inst text with
-    | Ok count ->
-      pf "certificate valid: %d fault sets witnessed@." count;
-      0
-    | Error e ->
-      pf "certificate INVALID: %s@." e;
-      1
+    let read ic =
+      (* Reading (not opening) is where a directory fails. *)
+      try Ok (In_channel.input_all ic)
+      with Sys_error e -> Error (file ^ ": " ^ e)
+    in
+    match In_channel.with_open_bin file read with
+    | exception Sys_error e | Error e ->
+      pf "error: cannot open certificate: %s@." e;
+      2
+    | Ok text -> (
+      match Certify.check inst text with
+      | Ok count ->
+        pf "certificate valid: %d fault sets witnessed@." count;
+        0
+      | Error e ->
+        pf "certificate INVALID: %s@." e;
+        1)
   in
   Cmd.v
     (Cmd.info "check-cert"

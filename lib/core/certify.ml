@@ -3,520 +3,20 @@ module Combinat = Gdpn_graph.Combinat
 module Auto = Gdpn_graph.Auto
 module Metrics = Gdpn_obs.Metrics
 
-(* Certificate records streamed to a channel by the v4 writers (one per
-   witness / orbit witness). *)
+(* Certificate records written to a channel (one per witnessed orbit). *)
 let m_records_streamed = Metrics.counter "certify.records_streamed"
 
 let digest inst = Digest.to_hex (Digest.string (Serial.to_string inst))
 
-let generate ?solve inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let solve =
-    match solve with
-    | Some f -> f
-    | None ->
-      (* One context for the whole enumeration: certificate generation is
-         exactly the repeated-solve workload the ctx exists for. *)
-      let ctx = Reconfig.make_ctx inst in
-      fun ~faults -> Reconfig.solve ~ctx inst ~faults
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "gdpn-cert 1\n";
-  Buffer.add_string buf (Printf.sprintf "instance %s\n" (digest inst));
-  Buffer.add_string buf
-    (Printf.sprintf "sets %d\n" (Combinat.count_up_to order k));
-  let mask = Bitset.create order in
-  Combinat.iter_subsets_up_to order k (fun set len ->
-      Bitset.clear mask;
-      for i = 0 to len - 1 do
-        Bitset.add mask set.(i)
-      done;
-      match solve ~faults:mask with
-      | Reconfig.Pipeline p ->
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%s\n"
-             (String.concat ","
-                (List.init len (fun i -> string_of_int set.(i))))
-             (String.concat " "
-                (List.map string_of_int p.Pipeline.nodes)))
-      | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        failwith
-          (Printf.sprintf "Certify.generate: fault set {%s} has no pipeline"
-             (String.concat ","
-                (List.init len (fun i -> string_of_int set.(i))))));
-  Buffer.contents buf
-
-(* Orbit-compressed certificates: the generators of the symmetry group,
-   then one witness per fault-set orbit with its declared orbit size.
-   The checker re-derives every orbit member itself and transports the
-   witness across, so the compression adds no trust in the generator. *)
-let generate_orbits ?solve ~symmetry inst =
-  if Auto.is_trivial symmetry then generate ?solve inst
-  else begin
-    let order = Instance.order inst in
-    if Auto.degree symmetry <> order then
-      invalid_arg "Certify.generate_orbits: symmetry degree <> order";
-    let k = inst.Instance.k in
-    let solve =
-      match solve with
-      | Some f -> f
-      | None ->
-        let ctx = Reconfig.make_ctx inst in
-        fun ~faults -> Reconfig.solve ~ctx inst ~faults
-    in
-    let reps = Auto.fault_orbits symmetry ~max_size:k in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "gdpn-cert 2\n";
-    Buffer.add_string buf (Printf.sprintf "instance %s\n" (digest inst));
-    Buffer.add_string buf
-      (Printf.sprintf "sets %d\n" (Combinat.count_up_to order k));
-    let gens = Auto.generators symmetry in
-    Buffer.add_string buf (Printf.sprintf "gens %d\n" (List.length gens));
-    List.iter
-      (fun p ->
-        Buffer.add_string buf
-          (Printf.sprintf "p %s\n"
-             (String.concat " "
-                (List.map string_of_int (Array.to_list p)))))
-      gens;
-    Buffer.add_string buf (Printf.sprintf "orbits %d\n" (Array.length reps));
-    let mask = Bitset.create order in
-    Array.iter
-      (fun { Auto.set; size } ->
-        Bitset.clear mask;
-        Array.iter (Bitset.add mask) set;
-        match solve ~faults:mask with
-        | Reconfig.Pipeline p ->
-          Buffer.add_string buf
-            (Printf.sprintf "w %s|%d|%s\n"
-               (String.concat ","
-                  (List.map string_of_int (Array.to_list set)))
-               size
-               (String.concat " " (List.map string_of_int p.Pipeline.nodes)))
-        | Reconfig.No_pipeline | Reconfig.Gave_up ->
-          failwith
-            (Printf.sprintf
-               "Certify.generate_orbits: fault set {%s} has no pipeline"
-               (String.concat ","
-                  (List.map string_of_int (Array.to_list set)))))
-      reps;
-    Buffer.contents buf
-  end
-
-(* Model-naming (v3) certificates: the flat v1 scheme lifted to a fault
-   model's universe — one witness line per universe subset in canonical
-   order, fault elements rendered in the model's element syntax ("3",
-   "2-5", "c4", "n7").  The checker rebuilds the model from its declared
-   name, so universe indexing is canonical on both sides, and validates
-   each witness against the link-degraded instance — still no search and
-   no trust in the generator. *)
-let generate_model ?solve model =
-  let inst = Fault_model.instance model in
-  let usize = Fault_model.size model in
-  let k = Fault_model.max_faults model in
-  let solve =
-    match solve with
-    | Some f -> f
-    | None ->
-      let ctx = Reconfig.make_ctx inst in
-      fun ~faults -> Fault_model.solve ~ctx model ~faults
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "gdpn-cert 3\n";
-  Buffer.add_string buf (Printf.sprintf "instance %s\n" (digest inst));
-  Buffer.add_string buf (Printf.sprintf "model %s\n" (Fault_model.name model));
-  Buffer.add_string buf
-    (Printf.sprintf "sets %d\n" (Combinat.count_up_to usize k));
-  let mask = Bitset.create usize in
-  Combinat.iter_subsets_up_to usize k (fun set len ->
-      Bitset.clear mask;
-      for i = 0 to len - 1 do
-        Bitset.add mask set.(i)
-      done;
-      let faults_s =
-        String.concat ","
-          (List.init len (fun i ->
-               Fault_model.elt_to_string (Fault_model.element model set.(i))))
-      in
-      match solve ~faults:mask with
-      | Reconfig.Pipeline p ->
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%s\n" faults_s
-             (String.concat " " (List.map string_of_int p.Pipeline.nodes)))
-      | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        failwith
-          (Printf.sprintf
-             "Certify.generate_model: fault set {%s} has no pipeline" faults_s));
-  Buffer.contents buf
-
-let check_v3 inst model_line sets_line witnesses =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let model_name =
-    match String.split_on_char ' ' model_line with
-    | [ "model"; name ] -> Some name
-    | _ -> None
-  in
-  match Option.bind model_name (Fault_model.of_name inst) with
-  | None -> err "bad model line %S" model_line
-  | Some model -> (
-    let usize = Fault_model.size model in
-    let k = Fault_model.max_faults model in
-    let expected = Combinat.count_up_to usize k in
-    let declared =
-      match String.split_on_char ' ' sets_line with
-      | [ "sets"; n ] -> int_of_string_opt n
-      | _ -> None
-    in
-    match declared with
-    | None -> err "bad sets line %S" sets_line
-    | Some declared ->
-      if declared <> expected then
-        err "certificate declares %d fault sets, model needs %d" declared
-          expected
-      else if List.length witnesses <> expected then
-        err "certificate contains %d witnesses, expected %d"
-          (List.length witnesses) expected
-      else begin
-        (* Walk the canonical universe enumeration in lockstep. *)
-        let remaining = ref witnesses in
-        let failure = ref None in
-        let mask = Bitset.create usize in
-        Combinat.iter_subsets_up_to usize k (fun set len ->
-            if !failure = None then begin
-              match !remaining with
-              | [] -> failure := Some "ran out of witness lines"
-              | line :: rest -> (
-                remaining := rest;
-                let expected_faults =
-                  String.concat ","
-                    (List.init len (fun i ->
-                         Fault_model.elt_to_string
-                           (Fault_model.element model set.(i))))
-                in
-                match String.split_on_char '|' line with
-                | [ left; right ]
-                  when left = Printf.sprintf "w %s" expected_faults -> (
-                  let nodes =
-                    List.filter_map int_of_string_opt
-                      (String.split_on_char ' ' right)
-                  in
-                  Bitset.clear mask;
-                  for i = 0 to len - 1 do
-                    Bitset.add mask set.(i)
-                  done;
-                  match Fault_model.validate model ~faults:mask nodes with
-                  | Ok _ -> ()
-                  | Error e ->
-                    failure :=
-                      Some
-                        (Printf.sprintf "witness for {%s} invalid: %s"
-                           expected_faults e))
-                | _ ->
-                  failure :=
-                    Some
-                      (Printf.sprintf "expected witness for {%s}, found %S"
-                         expected_faults line))
-            end);
-        match !failure with
-        | Some msg -> Error msg
-        | None -> Ok expected
-      end)
-
-(* v2 checking.  Soundness argument for completeness: every member the
-   checker derives is validated to be a subset of size <= k (sizes and
-   distinctness are preserved by the verified permutations), duplicates
-   across the whole certificate are rejected, and the grand total must
-   equal [count_up_to order k] — so by counting, the orbits cover every
-   fault set exactly once. *)
-let check_v2 inst rest =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let expected = Combinat.count_up_to order k in
-  let parse_prefixed prefix line =
-    match String.split_on_char ' ' line with
-    | p :: n :: [] when p = prefix -> int_of_string_opt n
-    | _ -> None
-  in
-  (* Each generator must be solvability-preserving: a graph automorphism
-     that either preserves node kinds or swaps the input and output
-     classes wholesale (a reversal). *)
-  let kind_compatible p =
-    let preserves = ref true in
-    let reverses = ref true in
-    Array.iteri
-      (fun v img ->
-        let kv = Instance.kind_of inst v and ki = Instance.kind_of inst img in
-        if not (Label.equal kv ki) then preserves := false;
-        let swapped =
-          match kv with
-          | Label.Processor -> Label.equal ki Label.Processor
-          | Label.Input -> Label.equal ki Label.Output
-          | Label.Output -> Label.equal ki Label.Input
-        in
-        if not swapped then reverses := false)
-      p;
-    !preserves || !reverses
-  in
-  let exception Bad of string in
-  try
-    let sets_line, rest =
-      match rest with l :: r -> (l, r) | [] -> raise (Bad "truncated")
-    in
-    (match parse_prefixed "sets" sets_line with
-    | Some d when d = expected -> ()
-    | Some d ->
-      raise
-        (Bad
-           (Printf.sprintf "certificate declares %d fault sets, instance needs %d"
-              d expected))
-    | None -> raise (Bad (Printf.sprintf "bad sets line %S" sets_line)));
-    let ngens, rest =
-      match rest with
-      | l :: r -> (
-        match parse_prefixed "gens" l with
-        | Some n when n >= 0 -> (n, r)
-        | _ -> raise (Bad (Printf.sprintf "bad gens line %S" l)))
-      | [] -> raise (Bad "truncated")
-    in
-    let parse_perm line =
-      match String.split_on_char ' ' line with
-      | "p" :: imgs ->
-        let p = Array.of_list (List.filter_map int_of_string_opt imgs) in
-        if
-          Array.length p = order
-          && Auto.is_automorphism inst.Instance.graph p
-          && kind_compatible p
-        then p
-        else raise (Bad (Printf.sprintf "bad generator %S" line))
-      | _ -> raise (Bad (Printf.sprintf "bad generator line %S" line))
-    in
-    let rec take_gens n acc rest =
-      if n = 0 then (List.rev acc, rest)
-      else
-        match rest with
-        | l :: r -> take_gens (n - 1) (parse_perm l :: acc) r
-        | [] -> raise (Bad "truncated generator list")
-    in
-    let gens, rest = take_gens ngens [] rest in
-    let norbits, orbit_lines =
-      match rest with
-      | l :: r -> (
-        match parse_prefixed "orbits" l with
-        | Some n when n >= 0 -> (n, r)
-        | _ -> raise (Bad (Printf.sprintf "bad orbits line %S" l)))
-      | [] -> raise (Bad "truncated")
-    in
-    if List.length orbit_lines <> norbits then
-      raise
-        (Bad
-           (Printf.sprintf "certificate contains %d orbit lines, declares %d"
-              (List.length orbit_lines) norbits));
-    let seen = Hashtbl.create (2 * expected) in
-    let covered = ref 0 in
-    let mask = Bitset.create order in
-    let key_of set = String.concat "," (List.map string_of_int set) in
-    let validate_member name set nodes =
-      if List.exists (fun v -> v < 0 || v >= order) set then
-        raise (Bad (Printf.sprintf "%s: node out of range" name));
-      if List.length (List.sort_uniq compare set) <> List.length set then
-        raise (Bad (Printf.sprintf "%s: repeated fault" name));
-      if List.length set > k then
-        raise (Bad (Printf.sprintf "%s: more than k faults" name));
-      let key = key_of (List.sort compare set) in
-      if Hashtbl.mem seen key then
-        raise (Bad (Printf.sprintf "%s: fault set covered twice" name));
-      Hashtbl.replace seen key ();
-      incr covered;
-      Bitset.clear mask;
-      List.iter (Bitset.add mask) set;
-      match Pipeline.validate inst ~faults:mask nodes with
-      | Ok _ -> ()
-      | Error e ->
-        raise
-          (Bad
-             (Printf.sprintf "witness for {%s} invalid: %s"
-                (key_of (List.sort compare set))
-                e))
-    in
-    List.iter
-      (fun line ->
-        match String.split_on_char '|' line with
-        | [ left; size_s; nodes_s ]
-          when String.length left >= 2 && String.sub left 0 2 = "w " -> (
-          let faults_s = String.sub left 2 (String.length left - 2) in
-          let rep =
-            List.filter_map int_of_string_opt
-              (List.filter
-                 (fun s -> s <> "")
-                 (String.split_on_char ',' faults_s))
-          in
-          let nodes =
-            List.filter_map int_of_string_opt
-              (String.split_on_char ' ' nodes_s)
-          in
-          match int_of_string_opt size_s with
-          | None -> raise (Bad (Printf.sprintf "bad orbit size in %S" line))
-          | Some declared_size ->
-            (* BFS over the orbit, tracking the permutation that maps the
-               representative to each member so the witness can be
-               transported.  The pipeline definition admits both
-               orientations, so reversal images validate as-is. *)
-            let orbit_seen = Hashtbl.create 16 in
-            let queue = Queue.create () in
-            let identity = Array.init order Fun.id in
-            let sorted_img perm = List.sort compare (List.map (fun v -> perm.(v)) rep) in
-            Hashtbl.replace orbit_seen (key_of (List.sort compare rep)) ();
-            Queue.add identity queue;
-            let members = ref 0 in
-            while not (Queue.is_empty queue) do
-              let perm = Queue.pop queue in
-              incr members;
-              validate_member
-                (Printf.sprintf "orbit of {%s}" faults_s)
-                (List.map (fun v -> perm.(v)) rep)
-                (List.map (fun v -> perm.(v)) nodes);
-              List.iter
-                (fun g ->
-                  let composed = Array.map (fun v -> g.(v)) perm in
-                  let k2 = key_of (sorted_img composed) in
-                  if not (Hashtbl.mem orbit_seen k2) then begin
-                    Hashtbl.replace orbit_seen k2 ();
-                    Queue.add composed queue
-                  end)
-                gens
-            done;
-            if !members <> declared_size then
-              raise
-                (Bad
-                   (Printf.sprintf
-                      "orbit of {%s} has %d members, certificate declares %d"
-                      faults_s !members declared_size)))
-        | _ -> raise (Bad (Printf.sprintf "bad orbit line %S" line)))
-      orbit_lines;
-    if !covered <> expected then
-      raise
-        (Bad
-           (Printf.sprintf "orbits cover %d fault sets, instance needs %d"
-              !covered expected));
-    Ok expected
-  with Bad msg -> Error msg
-
-let check_text inst text =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
-  in
-  match lines with
-  | "gdpn-cert 2" :: digest_line :: rest ->
-    if digest_line <> Printf.sprintf "instance %s" (digest inst) then
-      err "certificate is for a different instance"
-    else check_v2 inst rest
-  | "gdpn-cert 3" :: digest_line :: model_line :: sets_line :: witnesses ->
-    if digest_line <> Printf.sprintf "instance %s" (digest inst) then
-      err "certificate is for a different instance"
-    else check_v3 inst model_line sets_line witnesses
-  | header :: digest_line :: sets_line :: witnesses -> (
-    if header <> "gdpn-cert 1" then err "bad header %S" header
-    else if digest_line <> Printf.sprintf "instance %s" (digest inst) then
-      err "certificate is for a different instance"
-    else begin
-      let declared =
-        match String.split_on_char ' ' sets_line with
-        | [ "sets"; n ] -> int_of_string_opt n
-        | _ -> None
-      in
-      match declared with
-      | None -> err "bad sets line %S" sets_line
-      | Some declared ->
-        let order = Instance.order inst in
-        let k = inst.Instance.k in
-        let expected = Combinat.count_up_to order k in
-        if declared <> expected then
-          err "certificate declares %d fault sets, instance needs %d" declared
-            expected
-        else if List.length witnesses <> expected then
-          err "certificate contains %d witnesses, expected %d"
-            (List.length witnesses) expected
-        else begin
-          (* Walk the canonical enumeration in lockstep with the lines. *)
-          let remaining = ref witnesses in
-          let failure = ref None in
-          let mask = Bitset.create order in
-          Combinat.iter_subsets_up_to order k (fun set len ->
-              if !failure = None then begin
-                match !remaining with
-                | [] -> failure := Some "ran out of witness lines"
-                | line :: rest -> (
-                  remaining := rest;
-                  let expected_faults =
-                    String.concat ","
-                      (List.init len (fun i -> string_of_int set.(i)))
-                  in
-                  match String.split_on_char '|' line with
-                  | [ left; right ]
-                    when left = Printf.sprintf "w %s" expected_faults -> (
-                    let nodes =
-                      List.filter_map int_of_string_opt
-                        (String.split_on_char ' ' right)
-                    in
-                    Bitset.clear mask;
-                    for i = 0 to len - 1 do
-                      Bitset.add mask set.(i)
-                    done;
-                    match Pipeline.validate inst ~faults:mask nodes with
-                    | Ok _ -> ()
-                    | Error e ->
-                      failure :=
-                        Some
-                          (Printf.sprintf "witness for {%s} invalid: %s"
-                             expected_faults e))
-                  | _ ->
-                    failure :=
-                      Some
-                        (Printf.sprintf
-                           "expected witness for {%s}, found %S"
-                           expected_faults line))
-              end);
-          match !failure with
-          | Some msg -> Error msg
-          | None -> Ok expected
-        end
-    end)
-  | _ -> err "truncated certificate"
+let magic = "gdpn-cert 5\n"
 
 (* ------------------------------------------------------------------ *)
-(* v4: streamed binary certificates                                    *)
+(* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* The v1/v2 generators accumulate the whole certificate in a buffer —
-   at G(3,5) scale that is already tens of megabytes, and the scale
-   instances the checkpointed verifier reaches would not fit in memory
-   at all.  The v4 writers stream one compact binary record per witness
-   straight to an out_channel: varint fields, fault sets delta-encoded
-   (they are sorted ascending, so gaps are tiny).  The checker decodes
-   v4 back into the equivalent v1/v2 text and reuses those checkers
-   verbatim, so the binary layer adds no trust surface of its own.
-
-   Layout ("gdpn-cert 4\n" magic, then binary):
-
-     varint inner        1 = flat (v1 semantics), 2 = orbit (v2)
-     string digest       varint length + hex digest bytes
-     varint nsets        total fault sets covered
-     inner 2 only:
-       varint order      permutation degree
-       varint ngens      then [order] varints per generator
-       varint norbits
-     records:            nsets (inner 1) / norbits (inner 2) of:
-       varint len, [len] gap varints     the fault set, delta-encoded
-       inner 2 only: varint orbit size
-       varint nnodes, [nnodes] varints   the witness pipeline *)
-
-let v4_magic = "gdpn-cert 4\n"
 
 (* lib/core cannot see the engine codec (dependency direction), and the
-   record shapes differ anyway; 20 lines of varint beat an inversion. *)
-let v4_put_uint oc n =
+   record shapes differ anyway; a few lines of varint beat an inversion. *)
+let put_uint oc n =
   if n < 0 then invalid_arg "Certify: negative varint";
   let rec go n =
     let b = n land 0x7f in
@@ -529,111 +29,135 @@ let v4_put_uint oc n =
   in
   go n
 
-let v4_put_string oc s =
-  v4_put_uint oc (String.length s);
+let put_string oc s =
+  put_uint oc (String.length s);
   output_string oc s
 
-let v4_put_set oc set len =
-  v4_put_uint oc len;
-  let prev = ref (-1) in
-  for i = 0 to len - 1 do
-    v4_put_uint oc (set.(i) - !prev - 1);
-    prev := set.(i)
-  done
-
-let v4_put_nodes oc nodes =
-  v4_put_uint oc (List.length nodes);
-  List.iter (v4_put_uint oc) nodes
-
-let generate_to ?solve oc inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
+let write ?solve ?symmetry model oc =
+  let inst = Fault_model.instance model in
+  let usize = Fault_model.size model in
+  let k = Fault_model.max_faults model in
   let solve =
     match solve with
     | Some f -> f
     | None ->
+      (* One context for the whole enumeration: certification is exactly
+         the repeated-solve workload the ctx exists for. *)
       let ctx = Reconfig.make_ctx inst in
-      fun ~faults -> Reconfig.solve ~ctx inst ~faults
+      fun ~faults -> Fault_model.solve ~ctx model ~faults
   in
-  output_string oc v4_magic;
-  v4_put_uint oc 1;
-  v4_put_string oc (digest inst);
-  v4_put_uint oc (Combinat.count_up_to order k);
-  let mask = Bitset.create order in
-  Combinat.iter_subsets_up_to order k (fun set len ->
-      Bitset.clear mask;
+  (* The node generators go into the certificate; orbits are taken under
+     their induced action on the universe, exactly as the checker will
+     re-derive them. *)
+  let gens, orbit_group =
+    match symmetry with
+    | Some g when not (Auto.is_trivial g) ->
+      let induced = Fault_model.induced_symmetry model g in
+      if Auto.is_trivial induced then ([], None)
+      else (Auto.generators g, Some induced)
+    | Some _ | None -> ([], None)
+  in
+  let nsets = Combinat.count_up_to usize k in
+  output_string oc magic;
+  put_string oc (digest inst);
+  put_string oc (Fault_model.name model);
+  put_uint oc nsets;
+  put_uint oc (List.length gens);
+  List.iter (Array.iter (put_uint oc)) gens;
+  let mask = Bitset.create usize in
+  let record set len size =
+    Bitset.clear mask;
+    for i = 0 to len - 1 do
+      Bitset.add mask set.(i)
+    done;
+    match solve ~faults:mask with
+    | Reconfig.Pipeline p ->
+      put_uint oc len;
+      let prev = ref (-1) in
       for i = 0 to len - 1 do
-        Bitset.add mask set.(i)
+        put_uint oc (set.(i) - !prev - 1);
+        prev := set.(i)
       done;
-      match solve ~faults:mask with
-      | Reconfig.Pipeline p ->
-        v4_put_set oc set len;
-        v4_put_nodes oc p.Pipeline.nodes;
-        Metrics.incr m_records_streamed
-      | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        failwith
-          (Printf.sprintf "Certify.generate_to: fault set {%s} has no pipeline"
-             (String.concat ","
-                (List.init len (fun i -> string_of_int set.(i))))));
+      put_uint oc size;
+      put_uint oc (List.length p.Pipeline.nodes);
+      List.iter (put_uint oc) p.Pipeline.nodes;
+      Metrics.incr m_records_streamed
+    | Reconfig.No_pipeline | Reconfig.Gave_up ->
+      failwith
+        (Printf.sprintf "Certify.write: fault set %s has no pipeline"
+           (Fault_model.describe model (List.init len (Array.get set))))
+  in
+  (match orbit_group with
+  | None ->
+    put_uint oc nsets;
+    Combinat.iter_subsets_up_to usize k (fun set len -> record set len 1)
+  | Some group ->
+    let reps = Auto.fault_orbits group ~max_size:k in
+    put_uint oc (Array.length reps);
+    Array.iter
+      (fun { Auto.set; size } -> record set (Array.length set) size)
+      reps);
   flush oc
 
-let generate_orbits_to ?solve ~symmetry oc inst =
-  if Auto.is_trivial symmetry then generate_to ?solve oc inst
-  else begin
-    let order = Instance.order inst in
-    if Auto.degree symmetry <> order then
-      invalid_arg "Certify.generate_orbits_to: symmetry degree <> order";
-    let k = inst.Instance.k in
-    let solve =
-      match solve with
-      | Some f -> f
-      | None ->
-        let ctx = Reconfig.make_ctx inst in
-        fun ~faults -> Reconfig.solve ~ctx inst ~faults
-    in
-    let reps = Auto.fault_orbits symmetry ~max_size:k in
-    let gens = Auto.generators symmetry in
-    output_string oc v4_magic;
-    v4_put_uint oc 2;
-    v4_put_string oc (digest inst);
-    v4_put_uint oc (Combinat.count_up_to order k);
-    v4_put_uint oc order;
-    v4_put_uint oc (List.length gens);
-    List.iter (fun p -> Array.iter (v4_put_uint oc) p) gens;
-    v4_put_uint oc (Array.length reps);
-    let mask = Bitset.create order in
-    Array.iter
-      (fun { Auto.set; size } ->
-        Bitset.clear mask;
-        Array.iter (Bitset.add mask) set;
-        match solve ~faults:mask with
-        | Reconfig.Pipeline p ->
-          v4_put_set oc set (Array.length set);
-          v4_put_uint oc size;
-          v4_put_nodes oc p.Pipeline.nodes;
-          Metrics.incr m_records_streamed
-        | Reconfig.No_pipeline | Reconfig.Gave_up ->
-          failwith
-            (Printf.sprintf
-               "Certify.generate_orbits_to: fault set {%s} has no pipeline"
-               (String.concat ","
-                  (List.map string_of_int (Array.to_list set)))))
-      reps;
-    flush oc
-  end
+(* ------------------------------------------------------------------ *)
+(* Checker                                                             *)
+(* ------------------------------------------------------------------ *)
 
-(* Decode a v4 certificate back into the equivalent v1/v2 text.  Size
-   guards keep hostile headers from forcing huge allocations before the
-   (truncation-bounded) record loop notices the input is short. *)
-let v4_to_text s =
+(* Canonical fault-set order: size first, then lexicographic. *)
+let canonical_compare a b =
+  match Int.compare (Array.length a) (Array.length b) with
+  | 0 -> compare a b
+  | c -> c
+
+(* A generator is solvability-preserving when it is a graph automorphism
+   that either preserves node kinds or swaps the input and output classes
+   wholesale (a reversal). *)
+let kind_compatible inst p =
+  let preserves = ref true in
+  let reverses = ref true in
+  Array.iteri
+    (fun v img ->
+      let kv = Instance.kind_of inst v and ki = Instance.kind_of inst img in
+      if not (Label.equal kv ki) then preserves := false;
+      let swapped =
+        match kv with
+        | Label.Processor -> Label.equal ki Label.Processor
+        | Label.Input -> Label.equal ki Label.Output
+        | Label.Output -> Label.equal ki Label.Input
+      in
+      if not swapped then reverses := false)
+    p;
+  !preserves || !reverses
+
+(* The action of one node permutation on the model's universe. *)
+let lift model p =
+  let order = Array.length p in
+  match
+    Auto.generators
+      (Fault_model.induced_symmetry model
+         (Auto.of_generators ~degree:order ~order:2 [ p ]))
+  with
+  | [ q ] -> q
+  | _ -> Array.init (Fault_model.size model) Fun.id
+
+(* Soundness of completeness: every record's set is re-derived as the
+   least member of its orbit and records strictly increase in canonical
+   order, so no orbit is witnessed twice; every member is a valid fault
+   set (sizes are preserved by the permutations) with a validated
+   witness; and the orbit sizes must sum to the full count — so by
+   counting, the records cover every fault set exactly once.  Memory is
+   one orbit at a time. *)
+let check inst s =
   let exception Bad of string in
-  let pos = ref (String.length v4_magic) in
-  let len_s = String.length s in
-  let u () =
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let len = String.length s in
+  let pos = ref (String.length magic) in
+  let uint () =
     let v = ref 0 and shift = ref 0 and cont = ref true in
     while !cont do
-      if !pos >= len_s then raise (Bad "truncated varint");
-      if !shift > 62 then raise (Bad "varint too wide");
+      if !pos >= len then bad "truncated certificate";
+      (* At most 8 bytes: 56 bits, so a decoded value is never negative. *)
+      if !shift > 49 then bad "varint too wide";
       let b = Char.code s.[!pos] in
       incr pos;
       v := !v lor ((b land 0x7f) lsl !shift);
@@ -642,81 +166,130 @@ let v4_to_text s =
     done;
     !v
   in
-  let str () =
-    let n = u () in
-    if n > 4096 then raise (Bad "unreasonable string length");
-    if !pos + n > len_s then raise (Bad "truncated string");
+  (* Every count and index is bounded before it sizes an allocation. *)
+  let bounded what ~cap =
+    let n = uint () in
+    if n > cap then
+      bad "%s %d out of range (at most %d): truncated or corrupt certificate"
+        what n cap;
+    n
+  in
+  let str what =
+    let n = bounded (what ^ " length") ~cap:(min 256 (len - !pos)) in
     let r = String.sub s !pos n in
     pos := !pos + n;
     r
   in
-  let bounded what cap n = if n < 0 || n > cap then raise (Bad ("unreasonable " ^ what)) else n in
-  let set () =
-    let len = bounded "set size" 1_000_000 (u ()) in
-    let prev = ref (-1) in
-    Array.init len (fun _ ->
-        let g = u () in
-        prev := !prev + 1 + g;
-        !prev)
-  in
-  let nodes () =
-    let n = bounded "witness length" 1_000_000 (u ()) in
-    List.init n (fun _ -> u ())
-  in
-  let render_set set =
-    String.concat "," (List.map string_of_int (Array.to_list set))
-  in
-  let render_nodes ns = String.concat " " (List.map string_of_int ns) in
   try
-    let inner = u () in
-    let dg = str () in
-    let nsets = u () in
-    let buf = Buffer.create 65536 in
-    (match inner with
-    | 1 ->
-      Buffer.add_string buf "gdpn-cert 1\n";
-      Buffer.add_string buf (Printf.sprintf "instance %s\n" dg);
-      Buffer.add_string buf (Printf.sprintf "sets %d\n" nsets);
-      for _ = 1 to bounded "set count" 100_000_000 nsets do
-        let set = set () in
-        let ns = nodes () in
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%s\n" (render_set set) (render_nodes ns))
-      done
-    | 2 ->
-      Buffer.add_string buf "gdpn-cert 2\n";
-      Buffer.add_string buf (Printf.sprintf "instance %s\n" dg);
-      Buffer.add_string buf (Printf.sprintf "sets %d\n" nsets);
-      let order = bounded "order" 1_000_000 (u ()) in
-      let ngens = bounded "generator count" 10_000 (u ()) in
-      Buffer.add_string buf (Printf.sprintf "gens %d\n" ngens);
-      for _ = 1 to ngens do
-        let imgs = List.init order (fun _ -> u ()) in
-        Buffer.add_string buf
-          (Printf.sprintf "p %s\n"
-             (String.concat " " (List.map string_of_int imgs)))
+    if not (String.starts_with ~prefix:magic s) then begin
+      let prefix = "gdpn-cert " in
+      if not (String.starts_with ~prefix s) then bad "not a gdpn certificate";
+      match String.index_from_opt s (String.length prefix) '\n' with
+      | Some i when i - String.length prefix <= 16 ->
+        bad "unsupported certificate version %S"
+          (String.sub s (String.length prefix) (i - String.length prefix))
+      | Some _ | None -> bad "bad certificate header"
+    end;
+    if str "digest" <> digest inst then
+      bad "certificate is for a different instance";
+    let name = str "model name" in
+    let model =
+      match Fault_model.of_name inst name with
+      | Some m -> m
+      | None -> bad "unknown fault model %S" name
+    in
+    let order = Instance.order inst in
+    let usize = Fault_model.size model in
+    let k = Fault_model.max_faults model in
+    let nsets = Combinat.count_up_to usize k in
+    let declared = uint () in
+    if declared <> nsets then
+      bad "certificate declares %d fault sets, the %s model needs %d" declared
+        name nsets;
+    let ngens = bounded "generator count" ~cap:((len - !pos) / max 1 order) in
+    let gens =
+      List.init ngens (fun i ->
+          let p =
+            Array.init order (fun _ ->
+                bounded "generator image" ~cap:(order - 1))
+          in
+          if
+            not
+              (Auto.is_automorphism inst.Instance.graph p
+              && kind_compatible inst p)
+          then
+            bad "generator %d is not a solvability-preserving automorphism" i;
+          (p, lift model p))
+    in
+    let nrecords = bounded "record count" ~cap:(min nsets ((len - !pos) / 3)) in
+    let describe set = Fault_model.describe model (Array.to_list set) in
+    let mask = Bitset.create usize in
+    let validate set witness =
+      Bitset.clear mask;
+      Array.iter (Bitset.add mask) set;
+      match Fault_model.validate model ~faults:mask (Array.to_list witness) with
+      | Ok _ -> ()
+      | Error e -> bad "witness for %s invalid: %s" (describe set) e
+    in
+    let covered = ref 0 in
+    let prev = ref None in
+    for _ = 1 to nrecords do
+      let slen = bounded "fault set size" ~cap:(min k (len - !pos)) in
+      let last = ref (-1) in
+      let set =
+        Array.init slen (fun _ ->
+            let gap = bounded "fault index gap" ~cap:(usize - !last - 2) in
+            last := !last + 1 + gap;
+            !last)
+      in
+      let size = bounded "orbit size" ~cap:(nsets - !covered) in
+      let wlen = bounded "witness length" ~cap:(min order (len - !pos)) in
+      let witness =
+        Array.init wlen (fun _ -> bounded "witness node" ~cap:(order - 1))
+      in
+      (match !prev with
+      | Some p when canonical_compare p set >= 0 ->
+        bad "record %s is out of canonical order" (describe set)
+      | Some _ | None -> ());
+      prev := Some set;
+      (* BFS over the orbit, carrying the witness along each generator's
+         node permutation (the pipeline definition admits both
+         orientations, so reversal images validate as-is). *)
+      let seen = Hashtbl.create 16 in
+      Hashtbl.replace seen set ();
+      let queue = Queue.create () in
+      Queue.add (set, witness) queue;
+      let members = ref 0 in
+      while not (Queue.is_empty queue) do
+        let member, w = Queue.pop queue in
+        incr members;
+        if !members > size then
+          bad "orbit of %s has more than the declared %d members"
+            (describe set) size;
+        validate member w;
+        List.iter
+          (fun (p, q) ->
+            let img = Array.map (Array.get q) member in
+            Array.sort compare img;
+            if compare img set < 0 then
+              bad "record %s is not the least member of its orbit"
+                (describe set);
+            if not (Hashtbl.mem seen img) then begin
+              Hashtbl.replace seen img ();
+              Queue.add (img, Array.map (Array.get p) w) queue
+            end)
+          gens
       done;
-      let norbits = bounded "orbit count" 100_000_000 (u ()) in
-      Buffer.add_string buf (Printf.sprintf "orbits %d\n" norbits);
-      for _ = 1 to norbits do
-        let set = set () in
-        let size = u () in
-        let ns = nodes () in
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%d|%s\n" (render_set set) size
-             (render_nodes ns))
-      done
-    | v -> raise (Bad (Printf.sprintf "unknown inner version %d" v)));
-    if !pos <> len_s then raise (Bad "trailing bytes")
-    else Ok (Buffer.contents buf)
+      if !members <> size then
+        bad "orbit of %s has %d members, certificate declares %d"
+          (describe set) !members size;
+      covered := !covered + size
+    done;
+    if !pos <> len then bad "%d trailing bytes" (len - !pos);
+    if !covered <> nsets then
+      bad "records cover %d fault sets, the %s model needs %d" !covered name
+        nsets;
+    Ok nsets
   with
   | Bad m -> Error m
-  | Invalid_argument _ -> Error "malformed v4 payload"
-
-let check inst text =
-  let mlen = String.length v4_magic in
-  if String.length text >= mlen && String.sub text 0 mlen = v4_magic then
-    match v4_to_text text with
-    | Ok decoded -> check_text inst decoded
-    | Error e -> Error ("bad v4 certificate: " ^ e)
-  else check_text inst text
+  | Invalid_argument m -> Error ("malformed certificate: " ^ m)

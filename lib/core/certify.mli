@@ -3,118 +3,67 @@
     [Verify.exhaustive] proves the property by running the solver over the
     whole fault space — trusting the solver's completeness on the negative
     side.  A {e certificate} removes that trust for the positive claim: it
-    records one explicit pipeline witness per fault set, and a third party
-    can check the claim by validating each witness against the paper's
-    pipeline definition alone (no search, no solver).  Checking costs
-    O(witness length) per fault set.
+    records one explicit pipeline witness per fault-set orbit, and a third
+    party can check the claim by validating each witness against the
+    paper's pipeline definition alone (no search, no solver).  Checking
+    costs O(witness length) per fault set.
 
-    Format (line-oriented; instance identity is pinned by a digest of its
-    serialized form):
-
-    {v
-    gdpn-cert 1
-    instance <hex digest>
-    sets <count>
-    w <f1,f2,..>|<n1 n2 n3 ..>      one line per fault set
-    v}
-
-    Certificates enumerate every fault set of size [0..k] in the standard
-    order, so completeness is checkable by counting.
-
-    The {e orbit-compressed} v2 format instead records the generators of a
-    solvability-preserving symmetry group and one witness per fault-set
-    orbit:
+    One binary format, written record by record to a channel so
+    witnesses never accumulate in memory.  Every integer is an unsigned
+    LEB128 varint; a string is its length then its bytes:
 
     {v
-    gdpn-cert 2
-    instance <hex digest>
-    sets <count>
-    gens <g>
-    p <img of 0> <img of 1> ...     one line per generator
-    orbits <count>
-    w <f1,f2,..>|<orbit size>|<n1 n2 ..>
+    "gdpn-cert 5\n"                  magic
+    string  digest                   {!digest} of the instance
+    string  model                    {!Fault_model.name}
+    varint  sets                     fault sets covered
+    varint  ngens                    then ngens node permutations,
+                                     [order] varints each
+    varint  records                  then records of:
+      varint len, len gap varints    the fault set (universe indices,
+                                     ascending, delta-encoded)
+      varint orbit size
+      varint nnodes, nnodes varints  the witness pipeline
     v}
 
-    The checker validates each generator (graph automorphism, node kinds
-    preserved or input/output classes swapped wholesale), re-derives every
-    orbit member itself, transports the witness along the permutation, and
-    validates it for the member — so compression adds no trust.
-    Completeness again reduces to counting: members are distinct valid
-    fault sets and their grand total must equal the full count. *)
+    With no generators every record is one fault set, in canonical order
+    (size, then lexicographic).  With generators each record is the least
+    member of one orbit of their induced action on the fault model's
+    universe ({!Fault_model.induced_symmetry}), in the same order. *)
 
-val generate :
+val write :
   ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Instance.t ->
-  string
-(** Solve every fault set and record the witnesses.  By default a single
-    reusable search context ({!Reconfig.make_ctx}) serves the whole
-    enumeration; [solve] overrides the solver — the engine layer passes its
-    plan-cached solver, which splices most witnesses from their
-    one-fault-smaller predecessors instead of re-searching.
-    Raises [Failure] if any fault set has no pipeline (the instance is not
-    k-GD, so no certificate exists). *)
-
-val generate_orbits :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  symmetry:Gdpn_graph.Auto.group ->
-  Instance.t ->
-  string
-(** Orbit-compressed (v2) certificate: solve one representative per orbit
-    of [symmetry] (typically [Instance.symmetry inst]) and record the
-    generators alongside the witnesses.  Falls back to {!generate} when
-    the group is trivial.  Raises [Failure] if a representative has no
-    pipeline. *)
-
-val generate_model :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
+  ?symmetry:Gdpn_graph.Auto.group ->
   Fault_model.t ->
-  string
-(** Model-naming (v3) certificate: the flat enumeration lifted to a fault
-    model's universe, fault elements in the model's element syntax
-    (node ["3"], link ["2-5"], colour class ["c4"], neighborhood ["n7"]):
-
-    {v
-    gdpn-cert 3
-    instance <hex digest>
-    model <node|mixed|colored|neighbor>
-    sets <count>
-    w <e1,e2,..>|<n1 n2 ..>
-    v}
-
-    The checker rebuilds the model from its declared name (universe
-    indexing is canonical), so witnesses are validated against the
-    link-degraded instance with no search and no trust in the generator.
-    Raises [Failure] if some fault set has no pipeline. *)
-
-val generate_to :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   out_channel ->
-  Instance.t ->
   unit
-(** Streamed (v4, flat) certificate: like {!generate} but one compact
-    binary record per witness written straight to the channel — varint
-    fields, fault sets delta-encoded — so memory stays O(1) regardless of
-    fault-space size (the buffer-accumulating v1/v2 generators stop
-    scaling exactly where the checkpointed verifier starts).  Each record
-    bumps [certify.records_streamed].  Raises [Failure] as {!generate}. *)
-
-val generate_orbits_to :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  symmetry:Gdpn_graph.Auto.group ->
-  out_channel ->
-  Instance.t ->
-  unit
-(** Streamed (v4, orbit-compressed) certificate: {!generate_orbits}
-    semantics, one binary record per orbit witness.  Falls back to
-    {!generate_to} when the group is trivial. *)
+(** Solve one fault set per orbit of [symmetry] (the instance's node
+    group, typically [Instance.symmetry inst]; absent or trivial: every
+    fault set) over the model's universe, and write the certificate.  By
+    default one reusable search context ({!Reconfig.make_ctx}) serves the
+    whole enumeration; [solve] overrides the solver — the engine layer
+    passes its plan-cached solver, which splices most witnesses from their
+    one-element-smaller predecessors instead of re-searching.  Each record
+    bumps [certify.records_streamed].  With a nontrivial group the orbit
+    representatives are enumerated up front ({!Gdpn_graph.Auto.fault_orbits},
+    memory proportional to the number of fault sets).  Raises [Failure]
+    if some fault set has no pipeline (the instance does not tolerate the
+    model, so no certificate exists). *)
 
 val check : Instance.t -> string -> (int, string) result
-(** Validate a certificate (any format, dispatched on the header) against
-    an instance: digest match, complete enumeration — directly in v1 and
-    v3, by orbit expansion and counting in v2 — and every witness valid
-    for its fault set (against the link-degraded instance in v3).
-    v4 certificates are decoded back into the equivalent v1/v2 text and
-    checked by the same code, so the binary layer adds no trust surface.
+(** Validate a certificate against an instance without a solver:
+    - the digest must match and the model name must be known;
+    - every generator must be a graph automorphism that preserves node
+      kinds or swaps the input and output classes wholesale;
+    - the checker re-derives each record's orbit itself: the record's set
+      must be its least member, and every member's witness, carried along
+      the permutation, must validate ({!Fault_model.validate});
+    - records must strictly increase in canonical order, and their orbit
+      sizes must sum to the declared count, which must be the model's.
+
+    Memory is O(largest orbit); every decoded count is bounded by the
+    bytes that remain and the universe size before it sizes an
+    allocation, and malformed input yields [Error], never an exception.
     Returns the number of fault sets certified. *)
 
 val digest : Instance.t -> string

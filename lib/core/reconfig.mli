@@ -32,7 +32,6 @@ type outcome =
 val solve :
   ?budget:int ->
   ?ctx:Gdpn_graph.Hamilton.ctx ->
-  ?reference:bool ->
   Instance.t ->
   faults:Gdpn_graph.Bitset.t ->
   outcome
@@ -40,11 +39,7 @@ val solve :
     in the generic solver (default 2_000_000).  [ctx] is a reusable search
     context ({!make_ctx}); passing one makes repeated solves reuse the
     backtracker's scratch state instead of reallocating it.  Results are
-    identical with or without a ctx.  [reference] (default [false]) routes
-    every spanning-path search through the retained pre-bitset-row
-    backtracker ({!Gdpn_graph.Hamilton.Reference}) — identical outcomes
-    and expansion counts by contract; used by the kernel-equivalence
-    crosscheck and oracle tests. *)
+    identical with or without a ctx. *)
 
 val make_ctx : Instance.t -> Gdpn_graph.Hamilton.ctx
 (** A search context sized for this instance, for use with {!solve} /
@@ -63,13 +58,11 @@ val solve_generic :
   ?budget:int ->
   ?expansions:int ref ->
   ?ctx:Gdpn_graph.Hamilton.ctx ->
-  ?reference:bool ->
   Instance.t ->
   faults:Gdpn_graph.Bitset.t ->
   outcome
 (** The generic solver regardless of strategy (ablation baseline B7).
     [expansions] accumulates the backtracker's node-expansion count — the
-    deterministic work measure {!Attack} maximises.  [reference] as in
-    {!solve}. *)
+    deterministic work measure {!Attack} maximises. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

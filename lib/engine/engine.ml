@@ -442,26 +442,12 @@ let verify_sampled ~seed ~trials ?max_failures ?model t =
         ~solve:(fun ~faults -> solve_in t model ~cache:false ~faults)
         ?max_failures ~model t.inst)
 
-let certify ?(symmetry = true) t =
-  let solve ~faults = solve t ~faults in
-  if symmetry then
-    Certify.generate_orbits ~solve ~symmetry:(Instance.symmetry t.inst) t.inst
-  else Certify.generate ~solve t.inst
-
-let certify_model t model =
-  let model = Fault_model.resolve (Some model) t.inst in
-  Certify.generate_model
+let certify ?model ?(symmetry = true) t oc =
+  let model = model_for ?model t in
+  Certify.write
     ~solve:(fun ~faults -> solve_in t model ~cache:true ~faults)
-    model
-
-(* Streamed v4 certification: witnesses leave the process as they are
-   found, so certification is bounded by disk, not memory. *)
-let certify_to ?(symmetry = true) t oc =
-  let solve ~faults = solve t ~faults in
-  if symmetry then
-    Certify.generate_orbits_to ~solve ~symmetry:(Instance.symmetry t.inst) oc
-      t.inst
-  else Certify.generate_to ~solve oc t.inst
+    ?symmetry:(if symmetry then Some (Instance.symmetry t.inst) else None)
+    model oc
 
 let attack ~rng ?restarts ?model t =
   Attack.worst_case ~rng ?restarts ?model ~budget:(min t.budget 500_000)

@@ -3,7 +3,7 @@
    paper families), orbit-reduced verification (verdicts, counts and
    orbit-expanded failure sets must agree with full enumeration,
    including on instances that genuinely fail), domain-sharded orbit
-   verification, and orbit-compressed (v2) certificates. *)
+   verification, and orbit-compressed certificates. *)
 
 open Gdpn_core
 module Graph = Gdpn_graph.Graph
@@ -313,15 +313,23 @@ let parallel_tests =
 (* Orbit-compressed certificates                                       *)
 (* ------------------------------------------------------------------ *)
 
+let certify ?model ?symmetry inst =
+  Testutil.certificate (Engine.certify ?model ?symmetry (Engine.create inst))
+
+(* Number of records in a certificate, from its layout. *)
+let records cert inst =
+  List.length
+    (snd (Testutil.certificate_layout cert ~order:(Instance.order inst)))
+
 let cert_tests =
   [
-    tc "v2 certificate round-trips and counts the full space" (fun () ->
+    tc "orbit certificate round-trips and counts the full space" (fun () ->
         List.iter
           (fun inst ->
-            let engine = Engine.create inst in
-            let cert = Engine.certify engine in
-            check Alcotest.bool "v2 header" true
-              (String.length cert >= 11 && String.sub cert 0 11 = "gdpn-cert 2");
+            let cert = certify inst in
+            check Alcotest.bool "orbit records" true
+              (records cert inst
+              < Combinat.count_up_to (Instance.order inst) inst.Instance.k);
             match Certify.check inst cert with
             | Ok n ->
               check Alcotest.int "covers every fault set"
@@ -329,51 +337,131 @@ let cert_tests =
                 n
             | Error e -> Alcotest.failf "%s: %s" inst.Instance.name e)
           [ Small_n.g1 ~k:3; Small_n.g3 ~k:3; Special.g62 () ]);
-    tc "v2 compresses the witness list" (fun () ->
+    tc "orbit records compress the certificate" (fun () ->
         let inst = Small_n.g1 ~k:3 in
-        let engine = Engine.create inst in
-        let v2 = Engine.certify engine in
-        let v1 = Engine.certify ~symmetry:false engine in
-        let lines s =
-          List.length (String.split_on_char '\n' s)
-        in
-        check Alcotest.bool "fewer lines" true (lines v2 < lines v1));
-    tc "trivial group falls back to v1" (fun () ->
+        let orbit = certify inst in
+        let flat = certify ~symmetry:false inst in
+        check Alcotest.int "one record per fault set"
+          (Combinat.count_up_to (Instance.order inst) inst.Instance.k)
+          (records flat inst);
+        check Alcotest.bool "fewer records" true
+          (records orbit inst < records flat inst);
+        check Alcotest.bool "fewer bytes" true
+          (String.length orbit < String.length flat));
+    tc "trivial group writes one record per fault set" (fun () ->
         let inst = Small_n.g3 ~k:2 in
-        let cert = Engine.certify (Engine.create inst) in
-        check Alcotest.bool "v1 header" true
-          (String.sub cert 0 11 = "gdpn-cert 1");
+        let cert = certify inst in
+        check Alcotest.string "same bytes as the flat certificate"
+          (certify ~symmetry:false inst) cert;
         match Certify.check inst cert with
         | Ok _ -> ()
         | Error e -> Alcotest.fail e);
-    tc "tampered v2 certificates are rejected" (fun () ->
+    tc "forged orbit certificates are rejected" (fun () ->
+        (* G(1,2): 9 nodes and 46 fault sets, so every varint is one
+           byte and a forgery is a plain byte splice. *)
         let inst = Small_n.g1 ~k:2 in
-        let cert = Engine.certify (Engine.create inst) in
-        let expect_error label cert' =
+        let g = inst.Instance.graph in
+        let order = Instance.order inst in
+        let group = Instance.symmetry inst in
+        let cert = certify inst in
+        let header_end, layout = Testutil.certificate_layout cert ~order in
+        let replace at len bytes =
+          String.sub cert 0 at ^ bytes
+          ^ String.sub cert (at + len) (String.length cert - at - len)
+        in
+        let bytes l = String.of_seq (Seq.map Char.chr (List.to_seq l)) in
+        let expect_error label cert' fragment =
           match Certify.check inst cert' with
           | Ok _ -> Alcotest.failf "%s: accepted" label
-          | Error _ -> ()
+          | Error e ->
+            if not (Testutil.contains_substring e fragment) then
+              Alcotest.failf "%s: error %S lacks %S" label e fragment
         in
-        (* Swap two nodes inside the first witness line. *)
-        let lines = String.split_on_char '\n' cert in
-        let tamper f =
-          String.concat "\n"
-            (List.map
-               (fun l -> if String.length l > 2 && f l then "w 0|1|0" else l)
-               lines)
+        (* The first generator follows the magic, the digest and model
+           strings, and the set and generator counts. *)
+        let gens_start = 12 + (1 + 32) + (1 + String.length "node") + 1 + 1 in
+        let with_generator p =
+          replace gens_start order (bytes (Array.to_list p))
         in
-        expect_error "forged witness"
-          (tamper (fun l -> String.sub l 0 2 = "w "));
-        expect_error "forged generator"
-          (String.concat "\n"
-             (List.map
-                (fun l ->
-                  if String.length l > 2 && String.sub l 0 2 = "p " then
-                    "p "
-                    ^ String.concat " "
-                        (List.init (Instance.order inst) string_of_int)
-                  else l)
-                lines));
+        let swap a b =
+          Array.init order (fun v ->
+              if v = a then b else if v = b then a else v)
+        in
+        (match Instance.inputs inst with
+        | a :: b :: _ ->
+          (* Two input terminals on different processors. *)
+          expect_error "non-automorphism" (with_generator (swap a b))
+            "automorphism"
+        | _ -> Alcotest.fail "G(1,2) has inputs");
+        (* One processor's input and output terminal are both leaves on
+           it: swapping them is a graph automorphism that mixes kinds. *)
+        let i = List.hd (Instance.inputs inst) in
+        let o =
+          List.find
+            (fun o -> Graph.adjacent g (Graph.neighbours g i).(0) o)
+            (Instance.outputs inst)
+        in
+        check Alcotest.bool "leaf swap is an automorphism" true
+          (Auto.is_automorphism g (swap i o));
+        expect_error "kind-mixing generator" (with_generator (swap i o))
+          "automorphism";
+        (* Swapping two records breaks the canonical order. *)
+        let r1, _, e1 = List.nth layout 1 and _, _, e2 = List.nth layout 2 in
+        expect_error "swapped records"
+          (String.sub cert 0 r1
+          ^ String.sub cert e1 (e2 - e1)
+          ^ String.sub cert r1 (e1 - r1)
+          ^ String.sub cert e2 (String.length cert - e2))
+          "canonical order";
+        (* Dropping the last record (and counting one record fewer)
+           leaves its orbit uncovered; folding its orbit size into the
+           first record's restores the total, but that record's
+           re-derived orbit disagrees.  The record count is the header's
+           last byte; a record's size byte precedes its one-byte witness
+           length. *)
+        let last_record = List.nth layout (List.length layout - 1) in
+        let last, _, stop = last_record in
+        let dropped =
+          String.mapi
+            (fun j c ->
+              if j = header_end - 1 then Char.chr (Char.code c - 1) else c)
+            (String.sub cert 0 last)
+        in
+        expect_error "dropped record" dropped "cover";
+        let size_at (_, w, _) = w - 2 in
+        let folded =
+          String.mapi
+            (fun j c ->
+              if j = size_at (List.hd layout) then
+                Char.chr (Char.code c + Char.code cert.[size_at last_record])
+              else c)
+            dropped
+        in
+        expect_error "folded orbit size" folded "members";
+        (* The last record re-witnessed through a larger member of its
+           orbit: still in canonical order, but not the orbit's least
+           member. *)
+        let reps = Auto.fault_orbits group ~max_size:inst.Instance.k in
+        let { Auto.set; size } = reps.(Array.length reps - 1) in
+        let member = List.fold_left max set (Auto.orbit_of_set group set) in
+        check Alcotest.bool "orbit has a larger member" true (member > set);
+        let faults = Gdpn_graph.Bitset.of_list order (Array.to_list member) in
+        let witness =
+          match Reconfig.solve inst ~faults with
+          | Reconfig.Pipeline p -> p.Pipeline.nodes
+          | Reconfig.No_pipeline | Reconfig.Gave_up ->
+            Alcotest.fail "G(1,2) tolerates two faults"
+        in
+        let gaps =
+          snd
+            (Array.fold_left_map (fun prev v -> (v, v - prev - 1)) (-1) member)
+        in
+        expect_error "non-least representative"
+          (replace last (stop - last)
+             (bytes
+                ((Array.length member :: Array.to_list gaps)
+                @ (size :: List.length witness :: witness))))
+          "least member";
         match Certify.check (Small_n.g2 ~k:2) cert with
         | Ok _ -> Alcotest.fail "cross-instance cert accepted"
         | Error _ -> ());

@@ -514,34 +514,66 @@ let image_props =
 (* Certificates                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* A node-model certificate, flat or (with [symmetry]) one record per
+   orbit of the instance's group. *)
+let certificate ?(symmetry = false) inst =
+  Testutil.certificate
+    (Certify.write
+       ?symmetry:(if symmetry then Some (Instance.symmetry inst) else None)
+       (Fault_model.node inst))
+
+let full_count inst =
+  Gdpn_graph.Combinat.count_up_to (Instance.order inst) inst.Instance.k
+
+(* The corruption corpus: an orbit certificate (G(1,2), nontrivial
+   group) and a flat one (G(3,2), trivial group), with their layouts. *)
+let corpus =
+  lazy
+    (List.map
+       (fun (name, inst, symmetry) ->
+         let cert = certificate ~symmetry inst in
+         let header_end, records =
+           Testutil.certificate_layout cert ~order:(Instance.order inst)
+         in
+         (name, inst, cert, header_end, records))
+       [
+         ("G(1,2) orbit", Small_n.g1 ~k:2, true);
+         ("G(3,2) flat", Small_n.g3 ~k:2, false);
+       ])
+
+(* Run [f] on every single-byte corruption of [cert] at the positions
+   [lo, hi). *)
+let iter_flips cert ~lo ~hi f =
+  for i = lo to hi - 1 do
+    List.iter (fun mask -> f i mask (Testutil.flip_byte cert i mask))
+      Testutil.flip_masks
+  done
+
 let certify_tests =
   [
     tc "generate then check succeeds and counts the space" (fun () ->
         List.iter
           (fun inst ->
-            let cert = Certify.generate inst in
-            match Certify.check inst cert with
-            | Ok n ->
-              check Alcotest.int inst.Instance.name
-                (Gdpn_graph.Combinat.count_up_to (Instance.order inst)
-                   inst.Instance.k)
-                n
+            match Certify.check inst (certificate inst) with
+            | Ok n -> check Alcotest.int inst.Instance.name (full_count inst) n
             | Error e -> Alcotest.failf "%s: %s" inst.Instance.name e)
           [ Small_n.g1 ~k:1; Small_n.g2 ~k:2; Small_n.g3 ~k:2 ]);
     tc "tampered witnesses are rejected" (fun () ->
         let inst = Small_n.g1 ~k:2 in
-        let cert = Certify.generate inst in
-        (* Corrupt a node id near the end of the certificate. *)
+        let cert = certificate inst in
+        (* The certificate ends with the last witness's node list (one-byte
+           varints at this order): repeat its second-to-last node. *)
+        let n = String.length cert in
         let bad =
-          String.mapi
-            (fun i c -> if i = String.length cert - 3 then 'x' else c)
-            cert
+          String.mapi (fun i c -> if i = n - 1 then cert.[n - 2] else c) cert
         in
         match Certify.check inst bad with
         | Ok _ -> Alcotest.fail "tampering must be detected"
-        | Error _ -> ());
+        | Error e ->
+          check Alcotest.bool "names the witness" true
+            (Testutil.contains_substring e "invalid"));
     tc "certificates pin the instance" (fun () ->
-        let cert = Certify.generate (Small_n.g1 ~k:2) in
+        let cert = certificate (Small_n.g1 ~k:2) in
         match Certify.check (Small_n.g2 ~k:2) cert with
         | Ok _ -> Alcotest.fail "wrong instance must be rejected"
         | Error e ->
@@ -550,21 +582,64 @@ let certify_tests =
     tc "truncated and malformed certificates are rejected" (fun () ->
         let inst = Small_n.g1 ~k:1 in
         List.iter
-          (fun text ->
+          (fun (text, fragment) ->
             match Certify.check inst text with
             | Ok _ -> Alcotest.failf "%S must be rejected" text
-            | Error _ -> ())
-          [ ""; "gdpn-cert 1"; "nonsense\nlines\nhere\nand more" ];
-        (* Dropping one witness line breaks the count. *)
-        let cert = Certify.generate inst in
-        let lines = String.split_on_char '\n' cert in
-        let shorter =
-          String.concat "\n"
-            (List.filteri (fun i _ -> i <> List.length lines - 2) lines)
-        in
-        match Certify.check inst shorter with
-        | Ok _ -> Alcotest.fail "missing witness must be detected"
+            | Error e ->
+              if not (Testutil.contains_substring e fragment) then
+                Alcotest.failf "%S: error %S lacks %S" text e fragment)
+          [
+            ("", "not a gdpn certificate");
+            ("nonsense\nlines\nhere\nand more", "not a gdpn certificate");
+            ("gdpn-cert 5", "bad certificate header");
+            ( "gdpn-cert 2\ninstance 00\nsets 7\n",
+              "unsupported certificate version" );
+            ("gdpn-cert 5\n", "truncated");
+          ];
+        (* Appending a byte leaves trailing garbage. *)
+        match Certify.check inst (certificate inst ^ "\000") with
+        | Ok _ -> Alcotest.fail "trailing bytes must be detected"
         | Error _ -> ());
+    tc "every proper prefix is rejected" (fun () ->
+        List.iter
+          (fun (name, inst, cert, _, _) ->
+            for len = 0 to String.length cert - 1 do
+              match Certify.check inst (String.sub cert 0 len) with
+              | Ok _ -> Alcotest.failf "%s: %d-byte prefix accepted" name len
+              | Error _ -> ()
+            done)
+          (Lazy.force corpus));
+    tc "no single-byte flip ever raises" (fun () ->
+        List.iter
+          (fun (name, inst, cert, _, _) ->
+            iter_flips cert ~lo:0 ~hi:(String.length cert) (fun i mask bad ->
+                match Certify.check inst bad with
+                | Ok _ | Error _ -> ()
+                | exception e ->
+                  Alcotest.failf "%s: byte %d ^ %d raised %s" name i mask
+                    (Printexc.to_string e)))
+          (Lazy.force corpus));
+    tc "every flip inside the header is rejected" (fun () ->
+        List.iter
+          (fun (name, inst, cert, header_end, _) ->
+            iter_flips cert ~lo:0 ~hi:header_end (fun i mask bad ->
+                match Certify.check inst bad with
+                | Ok _ -> Alcotest.failf "%s: byte %d ^ %d accepted" name i mask
+                | Error _ -> ()))
+          (Lazy.force corpus));
+    tc "a witness flip is rejected or keeps the count" (fun () ->
+        List.iter
+          (fun (name, inst, cert, _, records) ->
+            List.iter
+              (fun (_, lo, hi) ->
+                iter_flips cert ~lo ~hi (fun i mask bad ->
+                    match Certify.check inst bad with
+                    | Ok n when n <> full_count inst ->
+                      Alcotest.failf "%s: byte %d ^ %d accepted with count %d"
+                        name i mask n
+                    | Ok _ | Error _ -> ()))
+              records)
+          (Lazy.force corpus));
     tc "a non-k-GD instance cannot be certified" (fun () ->
         let inst = Small_n.g1 ~k:2 in
         let g = inst.Instance.graph in
@@ -577,7 +652,7 @@ let certify_tests =
             ~kind:(Array.init (Instance.order inst) (Instance.kind_of inst))
             ~n:1 ~k:2 ~name:"broken" ~strategy:Instance.Generic
         in
-        match Certify.generate broken with
+        match certificate broken with
         | (_ : string) -> Alcotest.fail "expected Failure"
         | exception Failure _ -> ());
   ]

@@ -312,16 +312,17 @@ let mixed_frozen_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Certificates (v3)                                                   *)
+(* Certificates over fault models                                      *)
 (* ------------------------------------------------------------------ *)
 
 let certificate_tests =
   [
-    tc "v3 node-model certificate roundtrips" (fun () ->
+    tc "node-model certificate roundtrips" (fun () ->
         List.iter
           (fun inst ->
-            let model = Fault_model.node inst in
-            let cert = Certify.generate_model model in
+            let cert =
+              Testutil.certificate (Certify.write (Fault_model.node inst))
+            in
             match Certify.check inst cert with
             | Ok count ->
               check Alcotest.int inst.Instance.name
@@ -330,38 +331,56 @@ let certificate_tests =
                 count
             | Error e -> Alcotest.fail e)
           [ Small_n.g1 ~k:2; Small_n.g3 ~k:2 ]);
-    tc "v3 certificate through the engine's cached model solver" (fun () ->
-        let inst = Small_n.g1 ~k:2 in
+    tc "mixed-model orbit certificate through the engine" (fun () ->
+        (* The G(1,4) graph declared with k = 2 tolerates any two node or
+           link faults: 631 fault sets over 15 nodes and 20 links, under a
+           node group of order 240. *)
+        let g14 = Small_n.g1 ~k:4 in
+        let inst =
+          Instance.make ~graph:g14.Instance.graph ~kind:g14.Instance.kind ~n:1
+            ~k:2 ~name:"G(1,4) at k=2" ~strategy:g14.Instance.strategy
+        in
+        check Alcotest.int "group order" 240
+          (Gdpn_graph.Auto.order (Instance.symmetry inst));
         let engine = Engine.create inst in
-        let cert = Engine.certify_model engine (Fault_model.node inst) in
-        match Certify.check inst cert with
-        | Ok _ -> ()
-        | Error e -> Alcotest.fail e);
-    tc "tampered v3 certificates are rejected" (fun () ->
+        let model = Fault_model.mixed inst in
+        let orbit = Testutil.certificate (Engine.certify ~model engine) in
+        let flat =
+          Testutil.certificate (Engine.certify ~model ~symmetry:false engine)
+        in
+        check Alcotest.bool "orbits compress" true
+          (String.length orbit < String.length flat);
+        List.iter
+          (fun cert ->
+            match Certify.check inst cert with
+            | Ok count -> check Alcotest.int "mixed fault sets" 631 count
+            | Error e -> Alcotest.fail e)
+          [ orbit; flat ]);
+    tc "a certificate declaring another model is rejected" (fun () ->
         let inst = Small_n.g1 ~k:2 in
-        let cert = Certify.generate_model (Fault_model.node inst) in
-        let reject name cert' =
-          match Certify.check inst cert' with
-          | Ok _ -> Alcotest.fail (name ^ ": accepted a tampered certificate")
-          | Error _ -> ()
+        let cert =
+          Testutil.certificate (Certify.write (Fault_model.node inst))
         in
-        (* Drop one witness line. *)
-        let lines = String.split_on_char '\n' cert in
-        let dropped =
-          List.filteri (fun i _ -> i <> List.length lines - 2) lines
+        (* The model name follows the magic and the digest string. *)
+        let at = 12 + 1 + 32 in
+        let as_model name =
+          String.sub cert 0 at
+          ^ String.make 1 (Char.chr (String.length name))
+          ^ name
+          ^ String.sub cert (at + 5) (String.length cert - at - 5)
         in
-        reject "dropped witness" (String.concat "\n" dropped);
-        (* Declare a different model so universe indexing shifts. *)
-        reject "wrong model"
-          (String.concat "\n"
-             (List.map
-                (fun l -> if l = "model node" then "model mixed" else l)
-                lines)));
-    tc "generate_model refuses an untolerated universe" (fun () ->
+        check Alcotest.string "round trip" cert (as_model "node");
+        List.iter
+          (fun name ->
+            match Certify.check inst (as_model name) with
+            | Ok _ -> Alcotest.failf "%s: accepted a node certificate" name
+            | Error _ -> ())
+          [ "mixed"; "colored"; "neighbor"; "nodes" ]);
+    tc "write refuses an untolerated universe" (fun () ->
         (* G(1,3) mixed has genuine counterexamples, so no certificate
            exists. *)
         let inst = Family.build ~n:1 ~k:3 in
-        match Certify.generate_model (Fault_model.mixed inst) with
+        match Testutil.certificate (Certify.write (Fault_model.mixed inst)) with
         | _ -> Alcotest.fail "expected Failure"
         | exception Failure _ -> ());
   ]

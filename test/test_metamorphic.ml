@@ -351,8 +351,10 @@ let fuzz_props =
         | Ok _ | Error _ -> true);
     Test.make ~name:"Workload.parse never raises" ~count:500 string
       (fun text -> match Workload.parse text with Ok _ | Error _ -> true);
-    Test.make ~name:"Certify.check never raises on arbitrary text" ~count:300
-      string (fun text ->
+    Test.make ~name:"Certify.check never raises on arbitrary text" ~count:600
+      (pair bool string) (fun (magic, text) ->
+        (* Half the inputs get past the magic into the binary decoder. *)
+        let text = if magic then "gdpn-cert 5\n" ^ text else text in
         match Certify.check (Small_n.g1 ~k:1) text with
         | Ok _ | Error _ -> true);
     Test.make ~name:"Graph6.decode never succeeds wrongly on junk" ~count:300
