@@ -15,18 +15,20 @@ test:
 # verification against full enumeration (verdict, counts and
 # orbit-expanded failure sets must agree) and splice-first prefix-tree
 # enumeration against from-scratch solving (reports must be identical),
-# then a traced run whose JSONL output must end with the metrics
-# snapshot.  The fault-model lines run the same verifier over the mixed
-# node+link universe: --crosscheck compares its splice, from-scratch and
-# sharded enumerations; the run exits 1 (the constructions are not
-# link-GD — that is the honest verdict) but must not exit 3 (crosscheck
-# divergence); --faults checks one explicit mixed node+link set end to
-# end.
+# then the same three-way crosscheck over the merged model's restricted
+# (processors-only) universe, then a traced run whose JSONL output must
+# end with the metrics snapshot.  The fault-model lines run the same
+# verifier over the mixed node+link universe: --crosscheck compares its
+# splice, from-scratch and sharded enumerations; the run exits 1 (the
+# constructions are not link-GD — that is the honest verdict) but must
+# not exit 3 (crosscheck divergence); --faults checks one explicit mixed
+# node+link set end to end.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --crosscheck
+	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --merged --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 5 -k 2 --model mixed --crosscheck; test $$? -ne 3
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 5 -k 2 --faults "3,7,2-5"; test $$? -ne 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --trace-out /tmp/gdpn-check-trace.jsonl

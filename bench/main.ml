@@ -753,13 +753,9 @@ let compile_store ?(flat = false) ?max_size inst ~path =
       if Auto.is_trivial g then None else Some g
   in
   let items =
-    match group with
-    | Some g -> Auto.fault_orbits g ~max_size
-    | None ->
-      let acc = ref [] in
-      Gdpn_graph.Combinat.iter_subsets_up_to order max_size (fun buf len ->
-          acc := { Auto.set = Array.sub buf 0 len; size = 1 } :: !acc);
-      Array.of_list (List.rev !acc)
+    Auto.fault_orbits
+      (Option.value group ~default:(Auto.trivial order))
+      ~max_size
   in
   let ctx = Reconfig.make_ctx inst in
   let w =
@@ -899,14 +895,11 @@ type row = {
 let estimate r =
   match Analyze.OLS.estimates r with Some (t :: _) -> Some t | _ -> None
 
+(* [--only PREFIX] selects the groups whose name starts with PREFIX. *)
+let selects only name = String.starts_with ~prefix:only name
+
 let run_benchmarks ?(only = "") () =
-  let selected =
-    List.filter
-      (fun (name, _) ->
-        String.length only <= String.length name
-        && String.sub name 0 (String.length only) = only)
-      groups
-  in
+  let selected = List.filter (fun (name, _) -> selects only name) groups in
   if selected = [] then begin
     pf "no benchmark group matches prefix %S; groups:@." only;
     List.iter (fun (name, _) -> pf "  %s@." name) groups;
@@ -2166,8 +2159,10 @@ let write_json ~path rows stats splices fms advs procs_rows scale
            (if i = List.length serve - 1 then "" else ",")))
     serve;
   Buffer.add_string buf "    ],\n";
+  (* null when the daemon rows did not run *)
   Buffer.add_string buf
-    (Printf.sprintf "    \"crosscheck_ok\": %b\n" serve_check);
+    (Printf.sprintf "    \"crosscheck_ok\": %s\n"
+       (if serve = [] then "null" else string_of_bool serve_check));
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"plan_store\": {\n";
   Buffer.add_string buf "    \"compile\": [\n";
@@ -2284,24 +2279,49 @@ let () =
   let rows = run_benchmarks ~only:!only () in
   (match !json_path with
   | Some path ->
-    let stats = symmetry_stats () in
-    print_symmetry_stats stats;
-    let splices = splice_comparison () in
-    print_splice_comparison splices;
-    let fms = fault_model_stats () in
-    print_fault_model_stats fms;
-    let advs = adversary_sweep () in
-    print_adversary_sweep advs;
-    let procs_rows = oocore_procs_rows () in
-    print_procs_rows procs_rows;
-    let scale = oocore_scale () in
-    print_scale scale;
-    let serve = serve_rows () in
-    print_serve_rows serve;
-    let store_compile = store_compile_rows () in
-    print_store_compile_rows store_compile;
-    let store_daemon = store_daemon_rows () in
-    print_store_daemon_rows store_daemon;
+    (* Each companion table belongs to one group and is computed only
+       when --only selects that group; a skipped one is written empty. *)
+    let companion group compute print ~skipped =
+      if selects !only group then begin
+        let r = compute () in
+        print r;
+        r
+      end
+      else skipped
+    in
+    let stats =
+      companion "B12-symmetry" symmetry_stats print_symmetry_stats ~skipped:[]
+    in
+    let splices =
+      companion "B14-splice" splice_comparison print_splice_comparison
+        ~skipped:[]
+    in
+    let fms =
+      companion "B15-fault-model" fault_model_stats print_fault_model_stats
+        ~skipped:[]
+    in
+    let advs =
+      companion "B15-fault-model" adversary_sweep print_adversary_sweep
+        ~skipped:[]
+    in
+    let procs_rows =
+      companion "B16-out-of-core" oocore_procs_rows print_procs_rows
+        ~skipped:[]
+    in
+    let scale =
+      companion "B16-out-of-core" oocore_scale print_scale ~skipped:None
+    in
+    let serve =
+      companion "B17-server" serve_rows print_serve_rows ~skipped:([], false)
+    in
+    let store_compile =
+      companion "B18-plan-store" store_compile_rows print_store_compile_rows
+        ~skipped:[]
+    in
+    let store_daemon =
+      companion "B18-plan-store" store_daemon_rows print_store_daemon_rows
+        ~skipped:[]
+    in
     write_json ~path rows stats splices fms advs procs_rows scale serve
       store_compile store_daemon
   | None -> ());

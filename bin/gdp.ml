@@ -164,9 +164,10 @@ let print_report model report =
    ([Engine.Parallel.Task]), optionally farmed over worker processes
    ([Mp.run] spawning `gdp verify-worker` children) and/or streamed to a
    resumable checkpoint file.  Both the resumed and the multi-process
-   reports are byte-identical to the sequential one — the deterministic
+   reports are byte-identical to the in-process one — the deterministic
    rank merge is the same in every topology — which --crosscheck verifies
-   directly (exit 3 on divergence). *)
+   against Verify.exhaustive, the one-domain drain of the same task
+   (exit 3 on divergence). *)
 let verify_out_of_core inst model ~model_name ~n ~k ~domains ~procs
     ~ckpt_path ~resume_path ~group ~no_splice ~max_failures =
   let module Task = Engine.Parallel.Task in
@@ -271,7 +272,7 @@ let verify_crosschecks inst model ~universe ~group ~no_splice ~domains
         ~model inst
     in
     let agree = report = seq in
-    pf "crosscheck out-of-core vs sequential: %s (%d sets, %d solver \
+    pf "crosscheck out-of-core vs in-process: %s (%d sets, %d solver \
         calls)@."
       (verdict agree) seq.Verify.fault_sets_checked seq.Verify.solver_calls;
     not agree
@@ -319,11 +320,9 @@ let verify_crosschecks inst model ~universe ~group ~no_splice ~domains
           ~splice:false ~model inst
       in
       let par =
-        (* The restricted (merged) universe has no sharded path. *)
-        if universe <> None then spliced
-        else
-          Engine.Parallel.verify_exhaustive ~max_failures:cap ~domains
-            ?symmetry:group ~splice:(not no_splice) ~model inst
+        Engine.Parallel.run_task ~max_failures:cap ~domains
+          (Engine.Parallel.Task.exhaustive ?universe ?symmetry:group
+             ~splice:(not no_splice) ~model inst)
       in
       let agree = spliced = scratch && spliced = par in
       pf "crosscheck splice vs from-scratch vs parallel: %s (%d sets, %d \
@@ -360,8 +359,8 @@ let verify_cmd =
                  compare verdicts, counts and (orbit-expanded) failure \
                  sets.  With \
                  --procs/--checkpoint/--resume, compare the out-of-core \
-                 report with the sequential one.  Exits 3 on any \
-                 disagreement.")
+                 report with the in-process one-domain drain of the same \
+                 task.  Exits 3 on any disagreement.")
   in
   let no_splice_arg =
     Arg.(value & flag & info [ "no-splice" ]
@@ -373,7 +372,7 @@ let verify_cmd =
     Arg.(value & opt int 0 & info [ "procs" ] ~docv:"P"
            ~doc:"Farm the exhaustive enumeration over $(docv) worker \
                  processes ($(b,gdp verify-worker) children over pipes). \
-                 The report is byte-identical to the sequential one.")
+                 The report is byte-identical to the in-process one.")
   in
   let checkpoint_arg =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -471,8 +470,9 @@ let verify_cmd =
         Some "--procs/--checkpoint/--resume require exhaustive mode"
       else if merged then
         Some
-          "--merged restricts the fault universe to the sequential path; it \
-           cannot be checkpointed or farmed over processes"
+          "--merged restricts the fault universe, which checkpoint headers \
+           and worker specs do not record; it cannot be checkpointed or \
+           farmed over processes"
       else if ckpt_path <> None && resume_path <> None then
         Some
           "--resume already appends to its own file; give one of \
@@ -547,15 +547,12 @@ let verify_cmd =
         | None when out_of_core ->
           verify_out_of_core inst model ~model_name ~n ~k ~domains:d ~procs
             ~ckpt_path ~resume_path ~group ~no_splice ~max_failures
-        | None when universe <> None ->
-          (* The sharded enumerator covers the whole universe, so the
-             restricted one keeps the sequential path. *)
-          Ok (Verify.exhaustive ?universe ?symmetry:group ~splice ~model inst)
         | None ->
           pf "exhaustive verification: domains=%d@." d;
           Ok
-            (Engine.Parallel.verify_exhaustive ~domains:d ?symmetry:group
-               ~splice ~model inst)
+            (Engine.Parallel.run_task ~domains:d
+               (Engine.Parallel.Task.exhaustive ?universe ?symmetry:group
+                  ~splice ~model inst))
       in
       match report with
       | Error e ->
@@ -1297,7 +1294,6 @@ let stats_cmd =
 let compile_plans_cmd =
   let module Auto = Gdpn_graph.Auto in
   let module Bitset = Gdpn_graph.Bitset in
-  let module Combinat = Gdpn_graph.Combinat in
   let module Plan_store = Gdpn_engine.Plan_store in
   let module Journal = Gdpn_engine.Plan_store.Journal in
   let unit_size = 256 in
@@ -1341,13 +1337,9 @@ let compile_plans_cmd =
         else None
       in
       let items =
-        match group with
-        | Some g -> Auto.fault_orbits g ~max_size
-        | None ->
-          let acc = ref [] in
-          Combinat.iter_subsets_up_to usize max_size (fun buf len ->
-              acc := { Auto.set = Array.sub buf 0 len; size = 1 } :: !acc);
-          Array.of_list (List.rev !acc)
+        Auto.fault_orbits
+          (Option.value group ~default:(Auto.trivial usize))
+          ~max_size
       in
       let nitems = Array.length items in
       let nunits = Stdlib.max 1 ((nitems + unit_size - 1) / unit_size) in

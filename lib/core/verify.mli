@@ -72,7 +72,11 @@ val exhaustive :
     solver would have given up — the default budget is unbounded, and
     [gdp verify --crosscheck] guards budgeted runs).  In orbit-reduced
     mode the representatives' shared prefixes form the chain, and each
-    representative is patched from its nearest solved ancestor. *)
+    representative is patched from its nearest solved ancestor.
+
+    This is {!Task.exhaustive} drained unit by unit, in order, on the
+    calling domain; [Engine.Parallel] drains the same task over many
+    domains or processes. *)
 
 val expanded_failure_sets :
   symmetry:Gdpn_graph.Auto.group -> report -> int list list
@@ -94,7 +98,8 @@ val sampled :
     (size uniform on [0..k], contents uniform for that size); [model] as
     in {!exhaustive}.  Callers must thread an explicitly chosen seed into
     [rng] — deriving it from instance parameters silently correlates the
-    fault-sample sequences of same-order instances. *)
+    fault-sample sequences of same-order instances.  All [trials] sets
+    are drawn from [rng] up front ({!Task.sampled}). *)
 
 val is_k_gd : report -> bool
 (** True when no failures occurred and the solver never gave up, i.e. the
@@ -163,9 +168,9 @@ val splice_checked :
 (** Rank-tagged bounded failure buffer: keeps the [cap] lowest-ranked
     failures seen, where a rank is the fault set's position in the
     canonical enumeration order ({!Gdpn_graph.Combinat.rank_of_subset}).
-    Out-of-order enumerators (the DFS prefix walk, parallel shards) feed
-    one of these per source and reconstruct the sequential report with
-    {!merge_tagged}. *)
+    Out-of-order drains of a {!Task} (one per domain, process or
+    checkpointed unit) feed one of these per source and reconstruct the
+    canonical report with {!merge_tagged}. *)
 module Topk : sig
   type t
 
@@ -188,7 +193,7 @@ val merge_tagged :
   (int * failure) list list ->
   report
 (** Merge rank-tagged failures from any number of sources into the report
-    the sequential enumeration would have produced: the lowest-ranked
+    an in-order enumeration would have produced: the lowest-ranked
     [max 1 max_failures] failures are kept in rank order, and
     [counts stop] maps the early-stop rank ([None] when enumeration ran
     to completion) to [(fault_sets_checked, solver_calls)] — the
@@ -208,3 +213,81 @@ val check_model_set :
 (** Check one explicit fault set given as universe indices, keeping the
     witness pipeline (the CLI's [--faults] debugging aid).  Raises
     [Invalid_argument] on an out-of-range index. *)
+
+(** The enumeration core: one verification problem decomposed into a
+    canonical array of work units.  The decomposition is a function of
+    the instance and mode alone — never of the domain or process count
+    — so {!exhaustive} drains it in order on the calling domain, while
+    [Engine.Parallel] drains it over domains, worker processes and
+    checkpoints, and every drain merges into the same report.
+
+    Each unit reports failures tagged with their rank in the canonical
+    order (sizes ascending, lexicographic within a size, over universe
+    indices; orbit representatives in {!Gdpn_graph.Auto.fault_orbits}
+    order), and polls an early-stop cutoff to skip sets that can no
+    longer reach the report. *)
+module Task : sig
+  type t
+
+  val exhaustive :
+    ?budget:int ->
+    ?universe:int list ->
+    ?symmetry:Gdpn_graph.Auto.group ->
+    ?splice:bool ->
+    ?model:Fault_model.t ->
+    Instance.t ->
+    t
+  (** The units behind {!Verify.exhaustive} (arguments as there).  Plain
+      mode: one unit for the sets of size < [min k 2], plus one
+      DFS-subtree unit per size-[min k 2] prefix.  With a nontrivial
+      [symmetry] group: fixed-granularity spans of the orbit
+      representatives re-ordered into DFS preorder ({e orbit×splice
+      fusion}: consecutive representatives share maximal prefixes, so
+      each splices from its nearest solved ancestor, while ranks — and
+      therefore counts and the merged report — stay the canonical
+      size-major indices). *)
+
+  val sampled :
+    rng:Random.State.t ->
+    trials:int ->
+    ?budget:int ->
+    ?model:Fault_model.t ->
+    Instance.t ->
+    t
+  (** The units behind {!Verify.sampled}: all [trials] sets are drawn
+      from [rng] here, then chunked into spans. *)
+
+  val model : t -> Fault_model.t
+  val orbit : t -> bool
+  (** Orbit-reduced units. *)
+
+  val splice : t -> bool
+
+  val items : t -> int
+  (** Fault sets to check (orbit mode: representatives). *)
+
+  val nunits : t -> int
+
+  val min_rank : t -> int -> int
+  (** Lower bound on the ranks unit [u] can emit — lets a drain skip the
+      whole unit once the early-stop cutoff drops below it. *)
+
+  val processor :
+    ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
+    t ->
+    record:(rank:int -> failure -> unit) ->
+    cutoff:(unit -> int) ->
+    int ->
+    unit
+  (** [processor t] builds one domain's solver and prefix-chain state;
+      the returned function processes one unit id per call, reporting
+      rank-tagged failures through [record] and polling [cutoff] for the
+      current early-stop bound.  Unit ids may arrive in any order (the
+      chain re-aligns).  [solve] overrides the solver as in {!exhaustive}
+      and is then called from this processor's domain only. *)
+
+  val merge : t -> max_failures:int -> (int * failure) list list -> report
+  (** Deterministic rank merge of per-source entry lists (per-domain
+      buffers, per-unit checkpoint records, per-worker streams — any
+      mix) into the canonical report. *)
+end

@@ -91,21 +91,6 @@ val solve :
 val solve_list :
   ?cache:bool -> t -> faults:int list -> Gdpn_core.Reconfig.outcome
 
-val solve_child :
-  t ->
-  parent:Gdpn_core.Pipeline.t ->
-  faults:Gdpn_graph.Bitset.t ->
-  failed:int ->
-  Gdpn_core.Reconfig.outcome
-(** Solve [faults] = parent's faults ∪ {[failed]} given a known-good
-    pipeline [parent] for the parent set: local splice first
-    ({!Gdpn_core.Repair.patch}, revalidated — a [Pipeline] outcome is
-    always genuine), full solve on splice failure.  Feeds the
-    [engine.splices] / [engine.splice_failures] counters.  This is the
-    entry point behind prefix-tree verification, where a parent plan is
-    always at hand — unlike {!solve}'s cache probe, it never has to guess
-    which predecessor might be cached. *)
-
 val stats : t -> stats
 
 val cache_size : t -> int
@@ -214,12 +199,14 @@ val attack :
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** Multicore verification: shard the fault-space enumeration over OCaml 5
-    domains.  Reports are {e byte-identical} to the sequential
-    {!Gdpn_core.Verify} paths: every fault set is tagged with its global
-    rank in the sequential enumeration order, each domain keeps only its
-    lowest-ranked failures, and the merge reproduces the sequential
-    failure list, early-stop count and gave-up tally exactly. *)
+(** Multicore verification: the scheduling half of the one enumeration
+    core.  {!Gdpn_core.Verify.Task} decomposes the fault space into
+    rank-tagged work units and {!Gdpn_core.Verify.exhaustive} drains them
+    in order on one domain; this module drains the same units over OCaml
+    5 domains, worker processes ({!Mp}) and checkpoints.  Each drain
+    keeps only its lowest-ranked failures and the rank merge reproduces
+    the in-order report — failure list, early-stop count and gave-up
+    tally — byte for byte, under any domain or process count. *)
 module Parallel : sig
   val default_domains : unit -> int
   (** [GDPN_DOMAINS] when set to a positive integer, otherwise
@@ -244,17 +231,17 @@ module Parallel : sig
       the space.  Units are drained through a work-stealing scheduler:
       each of the [domains] workers (the calling domain included) owns a
       contiguous span with its own atomic index, visits it in order —so
-      its chain of solved prefix plans (see below) pops and re-grows by a
+      its chain of solved prefix plans (see [splice]) pops and re-grows by a
       few elements per unit — and steals from the other spans when its
       own runs dry.  Steal counts land in [engine.parallel_steals] and on
       each shard's trace span.
 
       [splice] (default true) gives every worker a per-branch stack of
       solved plans, patching each fault set from its parent
-      ({!Gdpn_core.Repair.patch}) before falling back to the full solver
-      — the parallel form of [Verify.exhaustive]'s prefix-tree mode, with
-      the same exactness argument (positives revalidated, negatives
-      always from a full solve).
+      ({!Gdpn_core.Fault_model.splice}) before falling back to the full
+      solver, with the same exactness argument as
+      [Verify.exhaustive] (positives revalidated, negatives always from
+      a full solve).
 
       Worker domains come from a process-wide persistent pool: they are
       spawned lazily on first use, parked on a condition variable between
@@ -264,7 +251,7 @@ module Parallel : sig
       [GDPN_MIN_ITEMS_PER_DOMAIN]), the call degrades to the serial path
       on the calling domain: same report, none of the fan-out cost — this
       is what keeps multi-domain requests on small instances from losing
-      to the sequential verifier.  Pass [~min_items_per_domain:0] to
+      to the one-domain drain.  Pass [~min_items_per_domain:0] to
       force real sharding regardless of size (benchmarks, tests).
 
       [symmetry] is the instance's {e node} group; its induced action on
@@ -272,9 +259,9 @@ module Parallel : sig
       group, only orbit representatives are sharded — fewer but
       individually heavier work items, so the units are small contiguous
       chunks of the representative array; the per-domain chain splices
-      each representative from its nearest solved ancestor.  Counts are orbit-expanded through prefix sums
-      during the merge; the result equals the sequential
-      [Verify.exhaustive ~symmetry] report field for field.  All domains
+      each representative from its nearest solved ancestor.  Counts are
+      orbit-expanded through prefix sums during the merge; the result
+      equals [Verify.exhaustive ~symmetry] field for field.  All domains
       share one model (its degraded-instance cache is mutex-protected). *)
 
   val verify_sampled :
@@ -289,68 +276,25 @@ module Parallel : sig
     Gdpn_core.Verify.report
   (** Sampled verification over [model]'s universe (default: the node
       model): the full trial sequence is drawn up front from
-      [seed] on one RNG (byte-identical to the sequential stream), then
-      only the solving is sharded.  [min_items_per_domain] as in
+      [seed] on one RNG ({!Gdpn_core.Verify.Task.sampled}, the same
+      stream as [Verify.sampled] on [Random.State.make [| seed |]]),
+      then only the solving is sharded.  [min_items_per_domain] as in
       {!verify_exhaustive}. *)
 
-  (** First-class verification tasks: one verification problem decomposed
-      into a canonical array of serializable work units
-      ({!Codec.unit_desc}).  The decomposition is a function of the
-      instance and mode alone — never of the domain or process count — so
-      a checkpoint written under one topology resumes under any other,
-      and an out-of-process worker ({!Mp}) rebuilds the identical unit
-      array from the spec on its command line. *)
+  (** {!Gdpn_core.Verify.Task}, the enumeration core's canonical unit
+      decomposition, plus the checkpoint header that pins its spec.
+      Because the decomposition never depends on the domain or process
+      count, a checkpoint written under one topology resumes under any
+      other, and an out-of-process worker ({!Mp}) rebuilds the identical
+      unit array from the spec on its command line. *)
   module Task : sig
-    type t
-
-    val exhaustive :
-      ?budget:int ->
-      ?symmetry:Gdpn_graph.Auto.group ->
-      ?splice:bool ->
-      ?model:Gdpn_core.Fault_model.t ->
-      Gdpn_core.Instance.t ->
-      t
-    (** The unit decomposition behind {!Parallel.verify_exhaustive}: one
-        [Shallow] unit plus one [Rooted] DFS-subtree unit per
-        size-[min k 2] prefix.  With a nontrivial [symmetry] group,
-        fixed-granularity [Span] chunks of the orbit-representative
-        stream re-ordered into DFS preorder ({e orbit×splice fusion}:
-        consecutive representatives share maximal prefixes, so each
-        splices from its nearest solved ancestor, while ranks — and
-        therefore counts and the merged report — remain the canonical
-        size-major indices).  [model] and [symmetry] as in
-        {!Parallel.verify_exhaustive}. *)
-
-    val nunits : t -> int
-
-    val min_rank : t -> int -> int
-    (** Lower bound on the enumeration ranks unit [u] can emit — lets a
-        scheduler or coordinator skip the whole unit once the early-stop
-        cutoff drops below it. *)
+    include module type of struct
+      include Gdpn_core.Verify.Task
+    end
 
     val header : t -> max_failures:int -> Checkpoint.header
-    (** The checkpoint header pinning this task's spec. *)
-
-    val processor :
-      t ->
-      record:(rank:int -> Gdpn_core.Verify.failure -> unit) ->
-      cutoff:(unit -> int) ->
-      int ->
-      unit
-    (** [processor t] builds per-domain solver and prefix-chain state
-        once; the returned function processes one unit id per call,
-        reporting rank-tagged failures through [record] and polling
-        [cutoff] for the current early-stop bound.  Unit ids may arrive
-        in any order (the chain re-aligns). *)
-
-    val merge :
-      t ->
-      max_failures:int ->
-      (int * Gdpn_core.Verify.failure) list list ->
-      Gdpn_core.Verify.report
-    (** Deterministic rank merge of per-source entry lists (per-domain
-        buffers, per-unit checkpoint records, per-worker streams — any
-        mix) into the canonical sequential report. *)
+    (** The checkpoint header pinning this task's spec: instance digest
+        ({!Gdpn_core.Certify.digest}), model, mode and unit count. *)
   end
 
   val run_task :

@@ -17,7 +17,7 @@
    Adler-32), so the future gdpd daemon can reuse it verbatim.  The
    coordinator performs the same deterministic rank merge as the
    in-process scheduler, so an N-process report is byte-identical to the
-   sequential one; with a checkpoint writer attached, worker results are
+   in-process one; with a checkpoint writer attached, worker results are
    appended as they stream in, making multi-process runs resumable with
    the same file format. *)
 

@@ -7,7 +7,7 @@
     byte shapes as the checkpoint file, reusable by a future [gdpd]
     daemon).  The coordinator feeds every streamed per-unit result into
     the deterministic rank merge, so an N-process report is
-    byte-identical to the sequential one; attach a {!Checkpoint.writer}
+    byte-identical to the in-process one; attach a {!Checkpoint.writer}
     and the run is resumable with the same file format and soundness
     rules as the in-process scheduler.
 

@@ -75,19 +75,6 @@ let test_varint_roundtrip () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-let test_unit_desc_roundtrip () =
-  List.iter
-    (fun d ->
-      let b = Buffer.create 16 in
-      Codec.put_unit_desc b d;
-      let d', next = Codec.get_unit_desc (Buffer.contents b) 0 in
-      check Alcotest.bool "desc round-trips" true (d = d');
-      check Alcotest.int "consumed" (Buffer.length b) next)
-    [
-      Codec.Shallow; Codec.Rooted [||]; Codec.Rooted [| 0; 3; 17 |];
-      Codec.Span (0, 256); Codec.Span (12345, 99999);
-    ]
-
 let test_unit_result_roundtrip () =
   let r =
     {
@@ -327,7 +314,6 @@ let () =
       ( "codec",
         [
           tc "varint round-trip" test_varint_roundtrip;
-          tc "unit-desc round-trip" test_unit_desc_roundtrip;
           tc "unit-result round-trip" test_unit_result_roundtrip;
           tc "frame round-trip, torn and corrupt frames"
             test_frame_roundtrip;

@@ -2,9 +2,10 @@
    enumeration must report *byte-identically* to from-scratch solving —
    same verdicts, same failure lists in the same order, same counts —
    because positives are revalidated splices and negatives always come
-   from a full solve.  Also pins down the work-stealing scheduler:
-   N-domain forced sharding must reproduce the 1-domain and sequential
-   reports exactly. *)
+   from a full solve.  The task core as a whole is checked against the
+   size-major loops of Verify_reference.  Also pins down the
+   work-stealing scheduler: N-domain forced sharding must reproduce the
+   one-domain drain's reports exactly. *)
 
 open Gdpn_core
 module Engine = Gdpn_engine.Engine
@@ -116,6 +117,35 @@ let oracle_props =
         = Verify.exhaustive ~symmetry ~splice:true inst);
   ]
 
+(* The task core against the independent from-scratch, size-major
+   enumeration: splice on and off, early stop at 1/2/5, orbit reduction
+   on and off, over the node model, the mixed node+link model and a
+   restricted (merged-model) universe. *)
+let reference_props =
+  let open QCheck in
+  let space = oneofl ~print:Fun.id [ "node"; "mixed"; "universe" ] in
+  let cap = oneofl ~print:string_of_int [ 1; 2; 5 ] in
+  [
+    Test.make ~name:"exhaustive equals the size-major reference" ~count:200
+      (pair
+         (quad (int_range 1 6) (int_range 1 3) cap bool)
+         (triple space bool bool))
+      (fun ((n, k, max_failures, overclaim), (space, splice, sym)) ->
+        (* The mixed universe grows with the edge count: keep it small. *)
+        let mixed = space = "mixed" in
+        let n, k = if mixed then (Stdlib.min n 3, Stdlib.min k 2) else (n, k) in
+        let inst = Family.build ~n ~k in
+        let inst = if overclaim && not mixed then overclaimed inst else inst in
+        let model = if mixed then Some (Fault_model.mixed inst) else None in
+        let universe =
+          if space = "universe" then Some (Instance.processors inst) else None
+        in
+        let symmetry = if sym then Some (Instance.symmetry inst) else None in
+        Verify.exhaustive ~max_failures ?universe ?symmetry ~splice ?model inst
+        = Verify_reference.exhaustive ~max_failures ?universe ?symmetry ?model
+            inst);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Work-stealing scheduler determinism                                 *)
 (* ------------------------------------------------------------------ *)
@@ -178,37 +208,12 @@ let scheduler_tests =
                   [ 1; 3 ])
               [ true; false ])
           [ Small_n.g1 ~k:3; overclaimed (Small_n.g2 ~k:2) ]);
-    tc "solve_child splices or falls back but never lies" (fun () ->
-        let inst = Special.g62 () in
-        let engine = Engine.create inst in
-        let order = Instance.order inst in
-        let empty = Gdpn_graph.Bitset.create order in
-        match Engine.solve ~cache:false engine ~faults:empty with
-        | Reconfig.Pipeline parent ->
-          for v = 0 to order - 1 do
-            let faults = Gdpn_graph.Bitset.create order in
-            Gdpn_graph.Bitset.add faults v;
-            match Engine.solve_child engine ~parent ~faults ~failed:v with
-            | Reconfig.Pipeline p ->
-              check Alcotest.bool
-                (Printf.sprintf "witness valid for {%d}" v)
-                true
-                (Pipeline.is_valid inst ~faults p.Pipeline.nodes)
-            | Reconfig.No_pipeline | Reconfig.Gave_up ->
-              (* Must agree with the plain solver's verdict. *)
-              (match Reconfig.solve inst ~faults with
-              | Reconfig.Pipeline _ ->
-                Alcotest.fail
-                  (Printf.sprintf "solve_child missed a pipeline for {%d}" v)
-              | Reconfig.No_pipeline | Reconfig.Gave_up -> ())
-          done
-        | Reconfig.No_pipeline | Reconfig.Gave_up ->
-          Alcotest.fail "empty fault set should be solvable");
   ]
 
 let () =
   Alcotest.run "gdpn_splice"
     [
       ("oracle", oracle_tests @ to_alcotest oracle_props);
+      ("reference", to_alcotest reference_props);
       ("scheduler", scheduler_tests);
     ]
